@@ -21,7 +21,6 @@ Environment:
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Sequence
 
 from repro.bench.sizes import (  # noqa: F401  (re-exported surface)
     QUICK,
@@ -30,7 +29,7 @@ from repro.bench.sizes import (  # noqa: F401  (re-exported surface)
     SIZES_WIDE,
     quick_subsample,
 )
-from repro.bench.table import SweepTable, fmt_size  # noqa: F401
+from repro.bench.table import fmt_size  # noqa: F401
 from repro.library.communicator import Communicator
 from repro.machine.spec import NODE_A, NODE_B
 
@@ -39,26 +38,6 @@ RESULTS_DIR = Path(__file__).parent / "results"
 
 def fresh_comm(machine, p: int) -> Communicator:
     return Communicator(p, machine=machine, functional=False)
-
-
-def sweep(title: str, machine, p: int, sizes: Sequence[int],
-          runners: dict, baseline: str = "") -> SweepTable:
-    """Run ``runners[impl](comm, size) -> seconds`` over the size grid.
-
-    A fresh communicator (cold caches) is used per (impl, size) point,
-    mirroring the paper's benchmark methodology of touching buffers
-    between iterations so no stale cache state helps anyone.
-
-    Legacy path for callable runners; declarative modules build a
-    :class:`repro.bench.SweepSpec` and call
-    :func:`repro.bench.executor.run_sweep_table` instead.
-    """
-    table = SweepTable(title=title, sizes=list(sizes), baseline=baseline)
-    for impl, run in runners.items():
-        for s in sizes:
-            comm = fresh_comm(machine, p)
-            table.add(impl, s, run(comm, s))
-    return table
 
 
 NODE_CONFIGS = {

@@ -30,7 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.library.communicator import Communicator
-from repro.library.multinode import MultiNodeAllreduce
+from repro.library.hierarchy import (
+    allreduce_hierarchy,
+    implementation_policy,
+    pipeline_chunks,
+)
 
 #: effective training throughput per core (flops/s) — Xeon E5-2692 v2
 #: class, calibrated to Figure 18's single-node images/second.
@@ -173,11 +177,17 @@ class CNNTrainer:
         import math
 
         t_fwd, t_bwd = self._compute_times()
-        mn = MultiNodeAllreduce(self.comm, self.nnodes,
-                                implementation=self.implementation)
+        policy = implementation_policy(self.implementation)
+        hier = allreduce_hierarchy(policy.library(self.comm), self.nnodes,
+                                   implementation=self.implementation)
+
+        def allreduce(nbytes: int):
+            return hier.run(nbytes, chunks=pipeline_chunks(
+                policy.mode, self.nnodes, nbytes))
+
         if self.implementation == "YHCCL":
             # fused buckets, exchanged concurrently with back-propagation
-            t_comm = sum(mn.allreduce(b).time for b in self._fused_buckets())
+            t_comm = sum(allreduce(b).time for b in self._fused_buckets())
             t_iter = t_fwd + max(t_bwd, t_comm)
         else:
             # blocking per-tensor path: Horovod negotiates and dispatches
@@ -192,7 +202,7 @@ class CNNTrainer:
                 tensor_bytes = max(8, 4 * layer.params // layer.tensors)
                 tensor_bytes = -(-tensor_bytes // 8) * 8
                 if tensor_bytes not in cache:
-                    r = mn.allreduce(tensor_bytes)
+                    r = allreduce(tensor_bytes)
                     cache[tensor_bytes] = (r.intra_time, r.inter_time)
                 intra, inter = cache[tensor_bytes]
                 # the dispatch serialization penalizes the on-node part;

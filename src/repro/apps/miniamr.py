@@ -26,7 +26,11 @@ from typing import Optional
 import numpy as np
 
 from repro.library.communicator import Communicator
-from repro.library.multinode import MultiNodeAllreduce
+from repro.library.hierarchy import (
+    allreduce_hierarchy,
+    implementation_policy,
+    pipeline_chunks,
+)
 
 #: effective per-core stencil throughput (flops/s); with the default
 #: workload (8^3 blocks, 40 variables, one sweep per refinement step)
@@ -174,11 +178,17 @@ class MiniAMR:
         # one representative allreduce timing per implementation; the
         # refinement allreduces are bitwise-identical workloads, so one
         # simulation per size is exact for the timing model
-        mn = MultiNodeAllreduce(self.comm, self.nnodes,
-                                implementation=self.implementation)
-        ar = mn.allreduce(cfg.allreduce_bytes(self.nnodes))
+        policy = implementation_policy(self.implementation)
+        hier = allreduce_hierarchy(policy.library(self.comm), self.nnodes,
+                                   implementation=self.implementation)
+
+        def allreduce(nbytes: int):
+            return hier.run(nbytes, chunks=pipeline_chunks(
+                policy.mode, self.nnodes, nbytes))
+
+        ar = allreduce(cfg.allreduce_bytes(self.nnodes))
         # small per-step consistency allreduce (counters)
-        ar_small = mn.allreduce(1024)
+        ar_small = allreduce(1024)
 
         comm = 0.0
         # real refinement/stencil logic runs for `simulated_refines`

@@ -562,8 +562,11 @@ def exec_compiled_cell(payload: dict) -> dict:
         # *and* the replayed size so every cell in a sweep perturbs a
         # distinct but reproducible stream (two sizes sharing one
         # poly region must not share a stream); the stats are then
-        # deterministic bench content.
-        cell_id = f"{key}:{payload['nbytes']}".encode()
+        # deterministic bench content.  The source version is left
+        # out so the tails move only when the simulated cell does.
+        identity = schedule_descriptor(payload, poly=poly, guards=guards)
+        del identity["source"]
+        cell_id = f"{descriptor_key(identity)}:{payload['nbytes']}".encode()
         seed = (int(pb.get("seed", 0))
                 ^ int(hashlib.sha256(cell_id).hexdigest()[:16], 16)) \
             & 0x7FFFFFFFFFFFFFFF

@@ -30,17 +30,19 @@ coroutine-vs-compiled byte-identical JSON property.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Dict, Optional
 
 from repro.bench.runners import ITERATIONS, CellResult
-from repro.library.hierarchy import Hierarchy, allreduce_stages
+from repro.library.hierarchy import (
+    EXCHANGES,
+    MODE_KINDS,
+    Hierarchy,
+    allreduce_stages,
+    implementation_policy,
+    pipeline_chunks,
+)
 from repro.machine.network import INFINIBAND_EDR, NETWORKS, Network
-
-#: leaf collective kinds per hierarchy mode
-MODE_KINDS = {
-    "partition": ("reduce_scatter", "allgather"),
-    "leader": ("reduce", "bcast"),
-}
 
 
 @dataclass(frozen=True)
@@ -59,19 +61,18 @@ class HierConfig:
     @property
     def vendor(self) -> str:
         """The node-model vendor backing non-YHCCL leaves."""
-        return ("Open MPI" if self.implementation == "OMPI-hcoll"
-                else self.implementation)
+        return implementation_policy(self.implementation).vendor
 
 
 def resolve_config(implementation: str, params: dict) -> HierConfig:
     """Fill the per-implementation defaults of a hierarchy cell."""
+    policy = implementation_policy(implementation)
     nnodes = int(params.get("nnodes", 0))
     if nnodes < 1:
         raise ValueError(
             "hierarchy cell needs nnodes >= 1 (set it on the spec or "
             "use a sweep with axis='nodes')")
-    mode = params.get("mode") or (
-        "partition" if implementation == "YHCCL" else "leader")
+    mode = params.get("mode") or policy.mode
     if mode not in MODE_KINDS:
         raise ValueError(f"unknown hierarchy mode {mode!r}")
     network = params.get("network") or INFINIBAND_EDR.name
@@ -80,7 +81,7 @@ def resolve_config(implementation: str, params: dict) -> HierConfig:
             f"unknown network preset {network!r}; "
             f"choose from {sorted(NETWORKS)}")
     exchange = params.get("exchange", "")
-    if exchange not in ("", "ring", "tree", "rabenseifner"):
+    if exchange and exchange not in EXCHANGES:
         raise ValueError(f"unknown exchange stage {exchange!r}")
     lanes = params.get("lanes")
     return HierConfig(
@@ -91,8 +92,7 @@ def resolve_config(implementation: str, params: dict) -> HierConfig:
         network=network,
         exchange=exchange,
         pipelined=bool(params.get("pipelined", True)),
-        adaptive=bool(params.get("adaptive",
-                                 implementation == "OMPI-hcoll")),
+        adaptive=bool(params.get("adaptive", policy.adaptive)),
     )
 
 
@@ -109,16 +109,6 @@ class _Leaf:
 LeafOp = Callable[[int], _Leaf]
 
 
-def _pipeline_chunks(cfg: HierConfig, nbytes: int) -> int:
-    from repro.library.multinode import MultiNodeAllreduce
-
-    c = MultiNodeAllreduce.PIPELINE_CHUNKS
-    if (cfg.pipelined and cfg.mode == "partition" and cfg.nnodes > 1
-            and nbytes >= c * (1 << 20)):
-        return c
-    return 1
-
-
 def run_hierarchy(cfg: HierConfig, machine_name: str, p: int, nbytes: int,
                   leaf_ops: "Dict[str, LeafOp]") -> dict:
     """Compose one hierarchy cell result from per-leaf drivers.
@@ -126,33 +116,16 @@ def run_hierarchy(cfg: HierConfig, machine_name: str, p: int, nbytes: int,
     Returns the JSON-safe cell dict (``time`` / ``dav`` / ``algorithm``
     / ``counters``) with the ``repro-hier/1`` document as counters.
     """
-    from repro.library.hierarchy import (
-        RabenseifnerStage,
-        RingStage,
-        TreeAllreduceStage,
-    )
-
     net = Network(NETWORKS[cfg.network])
-    exchange_stage = None
-    if cfg.exchange:
-        lanes = cfg.lanes if cfg.lanes is not None else (
-            p if cfg.mode == "partition" else 1)
-        exchange_stage = {
-            "ring": lambda: RingStage(net, cfg.nnodes, lanes=lanes),
-            "tree": lambda: TreeAllreduceStage(net, cfg.nnodes),
-            "rabenseifner": lambda: RabenseifnerStage(
-                net, cfg.nnodes, lanes=lanes),
-        }[cfg.exchange]()
     stages = allreduce_stages(
-        None,
+        SimpleNamespace(**leaf_ops),
         net=net,
         nnodes=cfg.nnodes,
         nranks_per_node=p,
         mode=cfg.mode,
         lanes=cfg.lanes,
-        network_stage=exchange_stage,
+        exchange=cfg.exchange,
         adaptive=cfg.adaptive,
-        leaf_ops=dict(leaf_ops),
     )
     hierarchy = Hierarchy(
         stages,
@@ -161,7 +134,9 @@ def run_hierarchy(cfg: HierConfig, machine_name: str, p: int, nbytes: int,
         nnodes=cfg.nnodes,
         nranks=cfg.nnodes * p,
     )
-    res = hierarchy.run(nbytes, chunks=_pipeline_chunks(cfg, nbytes))
+    chunks = (pipeline_chunks(cfg.mode, cfg.nnodes, nbytes)
+              if cfg.pipelined else 1)
+    res = hierarchy.run(nbytes, chunks=chunks)
     doc = res.to_doc()
     doc["implementation"] = cfg.implementation
     doc["machine"] = machine_name
@@ -188,14 +163,13 @@ def _coroutine_leaf_ops(cfg: HierConfig, machine,
     """Each leaf runs on a fresh communicator at the bench iteration
     discipline — matching what the compiled path captures."""
     from repro.library.communicator import Communicator
-    from repro.library.mpi import MPILibrary
-    from repro.library.yhccl import YHCCL
+
+    policy = implementation_policy(cfg.implementation)
 
     def make(kind: str) -> LeafOp:
         def op(nbytes: int) -> _Leaf:
-            comm = Communicator(p, machine=machine, functional=False)
-            lib = (YHCCL(comm) if cfg.implementation == "YHCCL"
-                   else MPILibrary(comm, cfg.vendor))
+            lib = policy.library(
+                Communicator(p, machine=machine, functional=False))
             res = getattr(lib, kind)(nbytes, iterations=ITERATIONS)
             return _Leaf(time=res.time, dav=res.dav,
                          algorithm=res.algorithm)

@@ -143,11 +143,12 @@ def hierarchy_spec(implementation: str, *, nnodes: int = 0,
                    pipelined: bool = True) -> RunnerSpec:
     """A composed multi-node hierarchy column.
 
-    ``implementation`` is ``"YHCCL"`` or a vendor name (as accepted by
-    :class:`~repro.library.multinode.MultiNodeAllreduce`).  ``nnodes``
+    ``implementation`` is ``"YHCCL"`` or a vendor name (as resolved by
+    :func:`~repro.library.hierarchy.implementation_policy`).  ``nnodes``
     may stay 0 when the sweep's axis is ``"nodes"`` — each cell then
-    injects its node count.  ``exchange`` overrides the implementation's
-    native inter-node stage (``"ring"`` / ``"tree"`` /
+    injects its node count.  ``exchange`` names an
+    :data:`~repro.library.hierarchy.EXCHANGES` entry overriding the
+    implementation's native inter-node stage (``"ring"`` / ``"tree"`` /
     ``"rabenseifner"``).  Only non-default config values enter
     ``params`` so cache descriptors stay minimal and stable.
     """

@@ -26,10 +26,6 @@ from __future__ import annotations
 from repro.collectives.common import CollectiveEnv, partition
 
 
-def _chunk(parts, idx):
-    return parts[idx]
-
-
 def _max_chunk(parts) -> int:
     return max((length for _, length in parts), default=0)
 

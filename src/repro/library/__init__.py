@@ -20,12 +20,12 @@ so benchmark code can sweep implementations uniformly.
 from repro.library.communicator import Communicator
 from repro.library.yhccl import YHCCL, CollectiveResult
 from repro.library.mpi import MPILibrary, ALGORITHMS, implementations
-from repro.library.cluster import ClusterAllreduce, ClusterResult
 from repro.library.hierarchy import (
     BestOfStage,
     GroupedLeafStage,
     Hierarchy,
     HierarchyResult,
+    ImplementationPolicy,
     LeafStage,
     NetworkStage,
     RabenseifnerStage,
@@ -34,11 +34,13 @@ from repro.library.hierarchy import (
     Stage,
     StageResult,
     TreeAllreduceStage,
+    allreduce_hierarchy,
     allreduce_stages,
     hierarchy_for_topology,
+    implementation_policy,
+    pipeline_chunks,
     vendor_network_stage,
 )
-from repro.library.multinode import MultiNodeAllreduce, MultiNodeResult
 from repro.library.profiler import Profiler, ProfileRecord
 
 __all__ = [
@@ -50,10 +52,6 @@ __all__ = [
     "implementations",
     "Profiler",
     "ProfileRecord",
-    "ClusterAllreduce",
-    "ClusterResult",
-    "MultiNodeAllreduce",
-    "MultiNodeResult",
     "Stage",
     "StageResult",
     "LeafStage",
@@ -66,7 +64,11 @@ __all__ = [
     "SizeSwitchStage",
     "Hierarchy",
     "HierarchyResult",
+    "ImplementationPolicy",
+    "implementation_policy",
+    "pipeline_chunks",
     "allreduce_stages",
+    "allreduce_hierarchy",
     "vendor_network_stage",
     "hierarchy_for_topology",
 ]

@@ -1,13 +1,12 @@
-"""Composable hierarchical collectives (ROADMAP item 2).
+"""Composable hierarchical collectives: the one multi-node model.
 
 A cluster-scale collective is a stack of *stages*: any shared-memory
 algorithm (the MA designs, socket-aware MA, the vendor baselines) runs
 as a **leaf stage** on each node, under any pluggable **network stage**
 (ring, binomial tree, Rabenseifner reduce-scatter+allgather, and their
-multi-lane variants) exchanging across nodes.  This generalises the
-hard-coded two-phase :class:`~repro.library.multinode.MultiNodeAllreduce`
-into the explicit hierarchy the hybrid MPI+MPI literature argues for
-(Zhou et al., arXiv:2007.06892; MPI Advance, arXiv:2309.07337):
+multi-lane variants) exchanging across nodes — the explicit hierarchy
+the hybrid MPI+MPI literature argues for (Zhou et al.,
+arXiv:2007.06892; MPI Advance, arXiv:2309.07337):
 
 * every level is a :class:`Stage` object reporting time, DAV-style byte
   counts and traffic counters for *its* level,
@@ -25,20 +24,24 @@ inter-node exchange with chunk k+1's intra-node phase.  Chunking is
 modelled honestly: a network stage is re-costed at the chunk size, so
 its latency terms and message counts scale with the chunk count, while
 leaf stages — bandwidth-bound on the node's memory system — divide
-their full-message time across chunks.
+their full-message time across chunks; :func:`pipeline_chunks`
+decides when to pipeline.  ``Hierarchy.run(skews=)`` models per-node
+start skew (stragglers).
 
 :func:`allreduce_stages` builds the two standard two-level instances:
 the paper's *partition* hierarchy (MA reduce-scatter -> multi-lane ring
 -> MA allgather) and the *leader* hierarchy vendors use on InfiniBand
-(node reduce -> single-lane tree/ring exchange -> node bcast).
-:func:`hierarchy_for_topology` assembles a full hierarchy from a
+(node reduce -> single-lane tree/ring exchange -> node bcast), with
+:func:`implementation_policy` mapping implementation names onto them.
+:func:`allreduce_hierarchy` assembles a whole hierarchy from a node
+library (any machine model); :func:`hierarchy_for_topology` from a
 :class:`~repro.machine.network.Topology`, including heterogeneous
 NodeA/NodeB groups gated on the slowest group.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.library.communicator import Communicator
@@ -90,25 +93,16 @@ class StageResult:
     steps: int = 0
 
     def to_doc(self) -> dict:
-        return {
-            "name": self.name,
-            "level": self.level,
-            "algorithm": self.algorithm,
-            "time": self.time,
-            "chunk_time": self.chunk_time,
-            "nbytes": self.nbytes,
-            "chunks": self.chunks,
-            "dav": self.dav,
-            "memory_traffic": self.memory_traffic,
-            "bytes_on_wire": self.bytes_on_wire,
-            "messages": self.messages,
-            "steps": self.steps,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
 class HierarchyResult:
-    """Composed outcome with per-level breakdown and counter roll-up."""
+    """Composed outcome with per-level breakdown and counter roll-up.
+
+    ``skew`` is the start delay of a skewed run (the largest per-node
+    skew, already included in ``time``); ``None`` for unskewed runs.
+    """
 
     name: str
     nbytes: int
@@ -118,6 +112,7 @@ class HierarchyResult:
     time: float
     stages: Tuple[StageResult, ...]
     topology: Optional[dict] = None
+    skew: Optional[float] = None
 
     @property
     def pipelined(self) -> bool:
@@ -174,6 +169,8 @@ class HierarchyResult:
         }
         if self.topology is not None:
             doc["topology"] = self.topology
+        if self.skew is not None:
+            doc["skew"] = self.skew
         return doc
 
 
@@ -419,11 +416,11 @@ class SizeSwitchStage(Stage):
 class Hierarchy:
     """A stack of stages executed as one collective.
 
-    ``run`` evaluates every level (side-effect-free), commits each
-    level's traffic to the network counters, and composes the times:
-    serially for ``chunks=1``, as a ``chunks``-deep software pipeline
-    otherwise (``T = sum(chunk times) + (chunks-1) * max(chunk time)``
-    — fill plus steady state on the bottleneck stage).
+    ``run`` resets the network counters, evaluates every level
+    (side-effect-free), commits each level's traffic, and composes the
+    times: serially for ``chunks=1``, as a ``chunks``-deep software
+    pipeline otherwise (``T = sum(chunk times) + (chunks-1) * max(chunk
+    time)`` — fill plus steady state on the bottleneck stage).
     """
 
     def __init__(self, stages: Sequence[Stage], *, name: str = "hierarchy",
@@ -442,12 +439,26 @@ class Hierarchy:
         self.nranks = nranks
 
     def run(self, nbytes: int, *, chunks: int = 1,
-            reset: bool = True) -> HierarchyResult:
+            skews: Optional[Sequence[float]] = None) -> HierarchyResult:
+        """Run one collective of ``nbytes``.
+
+        ``skews`` gives each node's start delay in seconds (one entry
+        per node, all non-negative).  Every inter-node stage gates
+        bulk-synchronously on its slowest participant, so the straggler
+        delays the whole collective by ``max(skews)``.
+        """
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
         if chunks < 1:
             raise ValueError("need at least one chunk")
-        if reset and self.network is not None:
+        skew = None
+        if skews is not None:
+            if len(skews) != self.nnodes:
+                raise ValueError(f"need {self.nnodes} skews")
+            if any(s < 0 for s in skews):
+                raise ValueError("skews must be non-negative")
+            skew = float(max(skews))
+        if self.network is not None:
             self.network.reset()
         results = [s.evaluate(nbytes, chunks) for s in self.stages]
         for stage, res in zip(self.stages, results):
@@ -461,6 +472,8 @@ class Hierarchy:
         else:
             chunk_times = [r.chunk_time for r in results]
             time = sum(chunk_times) + (chunks - 1) * max(chunk_times)
+        if skew is not None:
+            time += skew
         return HierarchyResult(
             name=self.name,
             nbytes=nbytes,
@@ -470,12 +483,67 @@ class Hierarchy:
             time=time,
             stages=tuple(results),
             topology=self.topology.describe() if self.topology else None,
+            skew=skew,
         )
 
 
 # ---------------------------------------------------------------------------
 # Standard two-level builders
 # ---------------------------------------------------------------------------
+
+#: leaf collective kinds (before, after the exchange) of each mode
+MODE_KINDS: Dict[str, Tuple[str, str]] = {
+    "partition": ("reduce_scatter", "allgather"),
+    "leader": ("reduce", "bcast"),
+}
+
+#: chunk count of the partition hierarchy's segmented pipeline
+PIPELINE_CHUNKS = 4
+
+
+def pipeline_chunks(mode: str, nnodes: int, nbytes: int) -> int:
+    """The chunk count one allreduce runs with (Section 5.5).
+
+    Only the partition hierarchy pipelines, only across more than one
+    node, and only bandwidth-bound messages (``>= 4 MiB``): chunking a
+    latency-bound message just multiplies its latency terms.  Chunk k's
+    inter-node exchange then overlaps chunk k+1's intra-node phase.
+    """
+    if (mode == "partition" and nnodes > 1
+            and nbytes >= PIPELINE_CHUNKS * (1 << 20)):
+        return PIPELINE_CHUNKS
+    return 1
+
+
+@dataclass(frozen=True)
+class ImplementationPolicy:
+    """What an implementation name means for the two-level stack:
+    the node model backing the leaves (``vendor``), the default
+    ``mode`` and whether the leader exchange probes ``adaptive``-ly."""
+
+    vendor: str
+    mode: str
+    adaptive: bool
+
+    def library(self, comm: Communicator) -> object:
+        """The node-local collective library of this implementation."""
+        if self.vendor == "YHCCL":
+            return YHCCL(comm)
+        return MPILibrary(comm, self.vendor)
+
+
+def implementation_policy(implementation: str) -> ImplementationPolicy:
+    """Resolve ``"YHCCL"`` or a vendor name.
+
+    YHCCL runs the partition hierarchy on its own library; vendors run
+    the leader hierarchy on their node model.  ``"OMPI-hcoll"`` is the
+    Open MPI node model under hcoll's adaptive tree-vs-ring probe.
+    """
+    if implementation == "YHCCL":
+        return ImplementationPolicy("YHCCL", "partition", False)
+    hcoll = implementation == "OMPI-hcoll"
+    return ImplementationPolicy("Open MPI" if hcoll else implementation,
+                                "leader", hcoll)
 
 
 def vendor_network_stage(net: Network, nnodes: int, *,
@@ -493,86 +561,105 @@ def vendor_network_stage(net: Network, nnodes: int, *,
     return SizeSwitchStage(tree, ring)
 
 
+#: inter-node exchanges selectable by name, as ``(net, nnodes, lanes)``
+#: factories; the binomial tree is single-lane and ignores ``lanes``
+EXCHANGES: Dict[str, Callable[[Network, int, int], NetworkStage]] = {
+    "ring": lambda net, n, lanes: RingStage(net, n, lanes=lanes),
+    "tree": lambda net, n, lanes: TreeAllreduceStage(net, n),
+    "rabenseifner": lambda net, n, lanes: RabenseifnerStage(
+        net, n, lanes=lanes),
+}
+
+
+def _two_level(groups: Sequence[Tuple[str, int, object]], *, net: Network,
+               nnodes: int, mode: str, lanes: Optional[int], exchange: str,
+               adaptive: bool) -> List[Stage]:
+    """The stage stack of ``mode`` over ``(name, ranks_per_node, lib)``
+    node groups."""
+    if mode not in MODE_KINDS:
+        raise ValueError(f"unknown hierarchy mode: {mode!r}")
+    if exchange and exchange not in EXCHANGES:
+        raise ValueError(f"unknown exchange stage: {exchange!r}")
+    if any(p < 1 for _, p, _ in groups):
+        raise ValueError("need at least one rank per node")
+    partition = mode == "partition"
+    if lanes is None:
+        # every node must sustain the lane count, so the smallest
+        # group's rank count bounds the partition hierarchy's lanes
+        lanes = min(p for _, p, _ in groups) if partition else 1
+    if exchange or partition:
+        middle = EXCHANGES[exchange or "ring"](net, nnodes, lanes)
+    else:
+        middle = vendor_network_stage(net, nnodes, adaptive=adaptive)
+
+    def leaf(kind: str) -> Stage:
+        children = [
+            LeafStage(
+                f"{kind}@{name}" if len(groups) > 1 else kind,
+                getattr(lib, kind),
+                # every rank gathers its ceil-division partition; the
+                # last partition may be ragged but no rank gathers more
+                # than ceil(nbytes / p), and p * ceil(nbytes / p) >= nbytes
+                sizer=(lambda n, p=p: ceil_div(n, p) if n else 0)
+                if partition and kind == "allgather" else None,
+            )
+            for name, p, lib in groups
+        ]
+        if len(children) == 1:
+            return children[0]
+        return GroupedLeafStage(kind, children)
+
+    before, after = MODE_KINDS[mode]
+    return [leaf(before), middle, leaf(after)]
+
+
 def allreduce_stages(lib: object, *, net: Network, nnodes: int,
                      nranks_per_node: int, mode: str = "partition",
-                     lanes: Optional[int] = None,
-                     network_stage: Optional[Stage] = None,
-                     adaptive: bool = False,
-                     leaf_ops: Optional[Dict[str, Callable[[int], object]]]
-                     = None) -> List[Stage]:
+                     lanes: Optional[int] = None, exchange: str = "",
+                     adaptive: bool = False) -> List[Stage]:
     """Build the standard two-level allreduce stage stack.
 
     ``mode="partition"`` is the paper's hierarchy: MA reduce-scatter,
     multi-lane inter-node ring over the scattered partitions (one lane
     per rank unless ``lanes`` overrides), MA allgather of
     ``ceil(nbytes / p)`` per rank.  ``mode="leader"`` is the vendor
-    hierarchy: node reduce, single-lane leader exchange (tree/ring
-    switch, or ``network_stage``), node bcast.
+    hierarchy: node reduce, single-lane leader exchange (the tree/ring
+    switch, or hcoll's probe when ``adaptive``), node bcast.
+    ``exchange`` names an :data:`EXCHANGES` entry replacing the mode's
+    native exchange.
 
-    ``lib`` supplies the leaf collectives (any object with the
-    :class:`~repro.library.yhccl.YHCCL` facade's method names);
-    ``leaf_ops`` overrides individual kinds with custom callables —
-    the bench layer injects compiled-replay leaves this way.
+    ``lib`` supplies the leaf collectives: any object with the
+    :class:`~repro.library.yhccl.YHCCL` facade's method names for the
+    mode's two kinds (the bench layer passes compiled-replay leaves).
     """
-    p = nranks_per_node
-    if p < 1:
-        raise ValueError("need at least one rank per node")
-    ops = dict(leaf_ops or {})
-
-    def op(kind: str) -> Callable[[int], object]:
-        return ops.get(kind) or getattr(lib, kind)
-
-    if mode == "partition":
-        exchange = network_stage or RingStage(
-            net, nnodes, lanes=lanes if lanes is not None else p)
-        return [
-            LeafStage("reduce_scatter", op("reduce_scatter")),
-            exchange,
-            # every rank gathers its ceil-division partition; the last
-            # partition may be ragged but no rank gathers more than
-            # ceil(nbytes / p), and p * ceil(nbytes / p) >= nbytes
-            LeafStage("allgather", op("allgather"),
-                      sizer=lambda n: ceil_div(n, p) if n else 0),
-        ]
-    if mode == "leader":
-        exchange = network_stage or vendor_network_stage(
-            net, nnodes, adaptive=adaptive)
-        return [
-            LeafStage("reduce", op("reduce")),
-            exchange,
-            LeafStage("bcast", op("bcast")),
-        ]
-    raise ValueError(f"unknown hierarchy mode: {mode!r}")
+    return _two_level([("", nranks_per_node, lib)], net=net, nnodes=nnodes,
+                      mode=mode, lanes=lanes, exchange=exchange,
+                      adaptive=adaptive)
 
 
-@dataclass
-class _GroupLib:
-    """A node group's leaf library plus its shape."""
-
-    group_name: str
-    lib: object
-    ranks_per_node: int
-
-
-def _leaf_library(machine_name: str, ranks_per_node: int,
-                  implementation: str) -> object:
-    machine = PRESETS[machine_name]
-    comm = Communicator(ranks_per_node, machine=machine, functional=False)
-    if implementation == "YHCCL":
-        return YHCCL(comm)
-    vendor = "Open MPI" if implementation == "OMPI-hcoll" else implementation
-    return MPILibrary(comm, vendor)
+def allreduce_hierarchy(lib: object, nnodes: int, *,
+                        implementation: str = "YHCCL") -> Hierarchy:
+    """The ``implementation``'s two-level allreduce over ``nnodes``
+    identical nodes on the default fabric, whose leaves run on ``lib``
+    — the node library an application already holds (``YHCCL(comm)``
+    / ``MPILibrary(comm, vendor)``), on any machine model, preset or
+    not."""
+    policy = implementation_policy(implementation)
+    p = lib.comm.nranks
+    net = Network()
+    stages = allreduce_stages(lib, net=net, nnodes=nnodes,
+                              nranks_per_node=p, mode=policy.mode,
+                              adaptive=policy.adaptive)
+    return Hierarchy(stages, name=implementation, network=net,
+                     nnodes=nnodes, nranks=nnodes * p)
 
 
 def hierarchy_for_topology(topology: Topology, *,
                            implementation: str = "YHCCL",
                            mode: Optional[str] = None,
                            lanes: Optional[int] = None,
-                           adaptive: Optional[bool] = None,
-                           network: Optional[Network] = None,
-                           network_stage_factory: Optional[
-                               Callable[[Network, int], Stage]] = None,
-                           name: str = "") -> Hierarchy:
+                           exchange: str = "",
+                           adaptive: Optional[bool] = None) -> Hierarchy:
     """Assemble a two-level hierarchy for a whole cluster topology.
 
     Homogeneous topologies get plain leaf stages; heterogeneous ones a
@@ -580,63 +667,33 @@ def hierarchy_for_topology(topology: Topology, *,
     The exchange defaults to the implementation's native choice —
     multi-lane ring for YHCCL (lanes = the *smallest* group's rank
     count, since every node must sustain that concurrency), the
-    tree/ring leader switch for vendors.
+    tree/ring leader switch for vendors — and ``exchange`` names an
+    :data:`EXCHANGES` override.
     """
-    mode = mode or ("partition" if implementation == "YHCCL" else "leader")
-    adaptive = (implementation == "OMPI-hcoll" if adaptive is None
-                else adaptive)
-    net = network or Network(topology.network)
-    nnodes = topology.nnodes
-    min_p = min(g.ranks_per_node for g in topology.groups)
-
-    if network_stage_factory is not None:
-        exchange: Stage = network_stage_factory(net, nnodes)
-    elif mode == "partition":
-        exchange = RingStage(net, nnodes,
-                             lanes=lanes if lanes is not None else min_p)
-    else:
-        exchange = vendor_network_stage(net, nnodes, adaptive=adaptive)
-
-    libs = [
-        _GroupLib(g.machine, _leaf_library(g.machine, g.ranks_per_node,
-                                           implementation),
-                  g.ranks_per_node)
+    policy = implementation_policy(implementation)
+    mode = mode or policy.mode
+    groups = [
+        (g.machine, g.ranks_per_node, policy.library(
+            Communicator(g.ranks_per_node, machine=PRESETS[g.machine],
+                         functional=False)))
         for g in topology.groups
     ]
-
-    def leaf(kind: str, sizer_per_p: bool = False) -> Stage:
-        children = [
-            LeafStage(
-                f"{kind}@{gl.group_name}" if len(libs) > 1 else kind,
-                getattr(gl.lib, kind),
-                sizer=(lambda n, p=gl.ranks_per_node:
-                       ceil_div(n, p) if n else 0) if sizer_per_p else None,
-            )
-            for gl in libs
-        ]
-        if len(children) == 1:
-            return children[0]
-        return GroupedLeafStage(kind, children)
-
-    if mode == "partition":
-        stages: List[Stage] = [
-            leaf("reduce_scatter"), exchange, leaf("allgather", True)
-        ]
-    else:
-        stages = [leaf("reduce"), exchange, leaf("bcast")]
-
-    return Hierarchy(
-        stages,
-        name=name or f"{implementation}-{mode}",
-        network=net,
-        topology=topology,
-    )
+    net = Network(topology.network)
+    stages = _two_level(
+        groups, net=net, nnodes=topology.nnodes, mode=mode, lanes=lanes,
+        exchange=exchange,
+        adaptive=policy.adaptive if adaptive is None else adaptive)
+    return Hierarchy(stages, name=f"{implementation}-{mode}", network=net,
+                     topology=topology)
 
 
 # re-exported for convenience alongside the stage classes
 __all__ = [
     "HIER_SCHEMA",
     "VENDOR_TREE_CUTOFF",
+    "MODE_KINDS",
+    "PIPELINE_CHUNKS",
+    "EXCHANGES",
     "ceil_div",
     "StageResult",
     "HierarchyResult",
@@ -650,7 +707,11 @@ __all__ = [
     "BestOfStage",
     "SizeSwitchStage",
     "Hierarchy",
+    "ImplementationPolicy",
+    "implementation_policy",
+    "pipeline_chunks",
     "vendor_network_stage",
     "allreduce_stages",
+    "allreduce_hierarchy",
     "hierarchy_for_topology",
 ]

@@ -15,10 +15,10 @@ Cost queries are **side-effect-free**: every ``*_cost`` method returns
 a :class:`NetworkCost` estimate and touches no counters, so callers can
 price several candidate exchange strategies (the vendor tree-vs-ring
 switch) and then :meth:`Network.commit` only the one that actually
-runs.  The historical ``*_time`` helpers are thin pure wrappers around
-the cost methods.  ``bytes_sent`` / ``messages`` therefore reflect
-exactly the committed traffic; :meth:`Network.reset` gives per-call
-accounting (see :mod:`repro.library.multinode`).
+runs; a cost's ``time`` is the pure time estimate.  ``bytes_sent`` /
+``messages`` therefore reflect exactly the committed traffic;
+:meth:`Network.reset` gives per-call accounting (every
+:meth:`repro.library.hierarchy.Hierarchy.run` starts with one).
 
 :class:`Topology` describes a whole cluster — groups of identical
 nodes (machine preset, node count, ranks per node) sharing one NIC
@@ -233,26 +233,6 @@ class Network:
             messages=rounds,
             steps=rounds,
         )
-
-    # ---- legacy pure wrappers ---------------------------------------------
-
-    def p2p_time(self, nbytes: int, concurrent_procs: int = 1) -> float:
-        """Pure time estimate; commit :meth:`p2p_cost` to account it."""
-        return self.p2p_cost(nbytes, concurrent_procs).time
-
-    def ring_allreduce_time(
-        self, nbytes: int, nnodes: int, concurrent_procs: int = 1
-    ) -> float:
-        """Pure time estimate of :meth:`ring_allreduce_cost`."""
-        return self.ring_allreduce_cost(nbytes, nnodes, concurrent_procs).time
-
-    def tree_bcast_time(self, nbytes: int, nnodes: int) -> float:
-        """Pure time estimate of :meth:`tree_bcast_cost`."""
-        return self.tree_bcast_cost(nbytes, nnodes).time
-
-    def tree_allreduce_time(self, nbytes: int, nnodes: int) -> float:
-        """Pure time estimate of :meth:`tree_allreduce_cost`."""
-        return self.tree_allreduce_cost(nbytes, nnodes).time
 
 
 # ---------------------------------------------------------------------------

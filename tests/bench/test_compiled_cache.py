@@ -98,6 +98,18 @@ class TestExecCompiledCell:
         assert "captured" not in second
         assert second == first
 
+    def test_perturb_stats_survive_a_source_edit(self, monkeypatch):
+        """The ensemble seed comes from the simulated cell, not from the
+        source version the schedule key embeds: editing any source file
+        must not move p50/p99."""
+        pb = {"n": 16, "model": "mixed", "seed": 7}
+        before = exec_compiled_cell(_payload(perturb=pb))["perturb"]
+        clear_schedule_memo()
+        monkeypatch.setattr("repro.bench.compiled.source_version",
+                            lambda: "0" * 64)
+        after = exec_compiled_cell(_payload(perturb=pb))["perturb"]
+        assert after == before
+
     def test_no_results_dir_still_works(self):
         out = exec_compiled_cell(_payload())
         assert out["time"] > 0 and out["counters"] is not None

@@ -1,33 +1,48 @@
-"""Composed cluster simulation tests: skew propagation, absorption and
-consistency with the analytic multi-node model."""
+"""Per-node skew on :meth:`repro.library.hierarchy.Hierarchy.run`:
+validation, straggler propagation and resynchronization."""
 
 import pytest
 
 from repro.library.communicator import Communicator
-from repro.library.multinode import MultiNodeAllreduce
-from repro.library.cluster import ClusterAllreduce
+from repro.library.hierarchy import allreduce_hierarchy
+from repro.library.yhccl import YHCCL
 
 from tests.conftest import TINY
 
-KB = 1024
 MB = 1 << 20
+
+
+def mk(nnodes):
+    """YHCCL's partition hierarchy over ``nnodes`` TINY nodes (p=8)."""
+    comm = Communicator(8, machine=TINY, functional=False)
+    return allreduce_hierarchy(YHCCL(comm), nnodes)
 
 
 @pytest.fixture(scope="module")
 def cluster():
-    return ClusterAllreduce(TINY, nnodes=4, ranks_per_node=8)
+    return mk(4)
+
+
+def straggler_penalty(hier, nbytes, skew):
+    """Completion-time increase caused by one straggling node."""
+    base = hier.run(nbytes).time
+    skews = [0.0] * hier.nnodes
+    skews[0] = skew
+    return hier.run(nbytes, skews=skews).time - base
 
 
 class TestBasics:
     def test_single_node(self):
-        c = ClusterAllreduce(TINY, nnodes=1, ranks_per_node=8)
-        res = c.run(1 * MB)
+        single = mk(1)
+        res = single.run(1 * MB, skews=[2e-3])
         assert res.time > 0
-        assert len(res.nodes) == 1
+        assert res.nnodes == 1
+        assert res.time == pytest.approx(single.run(1 * MB).time + 2e-3,
+                                         rel=1e-12)
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
-            ClusterAllreduce(TINY, nnodes=0, ranks_per_node=8)
+            mk(0)
 
     def test_rejects_bad_skews(self, cluster):
         with pytest.raises(ValueError, match="skews"):
@@ -36,10 +51,13 @@ class TestBasics:
             cluster.run(1 * MB, skews=[0, 0, 0, -1e-3])
 
     def test_result_fields(self, cluster):
-        res = cluster.run(1 * MB)
-        for n in res.nodes:
-            assert n.rs_done <= n.exchange_done <= n.finish
-        assert res.time == max(n.finish for n in res.nodes)
+        res = cluster.run(1 * MB, skews=[1e-3, 0, 3e-3, 0])
+        assert res.skew == 3e-3
+        assert res.time == pytest.approx(
+            res.intra_time + res.inter_time + res.skew, rel=1e-12)
+        assert res.to_doc()["skew"] == 3e-3
+        # unskewed documents carry no skew entry at all
+        assert "skew" not in cluster.run(1 * MB).to_doc()
 
 
 class TestSkew:
@@ -47,36 +65,25 @@ class TestSkew:
         base = cluster.run(1 * MB)
         skewed = cluster.run(1 * MB, skews=[5e-3, 0, 0, 0])
         assert skewed.time > base.time
-        # ring gating: the whole exchange waits for the straggler
-        assert skewed.time == pytest.approx(base.time + 5e-3, rel=1e-6)
+        # bulk-synchronous gating: the whole exchange waits for the
+        # straggler
+        assert skewed.time == pytest.approx(base.time + 5e-3, rel=1e-12)
 
     def test_ring_resynchronizes(self, cluster):
-        """All nodes leave the exchange together: skew fully absorbed
-        into a common delay (spread -> 0)."""
-        res = cluster.run(1 * MB, skews=[5e-3, 1e-3, 0, 2e-3])
-        finishes = [n.finish for n in res.nodes]
-        assert max(finishes) == pytest.approx(min(finishes))
-        assert res.skew_absorbed() == pytest.approx(1.0)
+        """Only the latest entrant matters: once it joins, the nodes
+        march in lockstep, so smaller skews are absorbed entirely."""
+        mixed = cluster.run(1 * MB, skews=[5e-3, 1e-3, 0, 2e-3])
+        lone = cluster.run(1 * MB, skews=[5e-3, 0, 0, 0])
+        assert mixed.time == lone.time
 
-    def test_no_skew_absorption_is_one(self, cluster):
-        assert cluster.run(1 * MB).skew_absorbed() == 1.0
+    def test_zero_skews_match_unskewed_run(self, cluster):
+        base = cluster.run(1 * MB)
+        zero = cluster.run(1 * MB, skews=[0.0] * 4)
+        assert zero.time == base.time
+        assert zero.stages == base.stages
 
     def test_straggler_penalty_linear(self, cluster):
-        p1 = cluster.straggler_penalty(1 * MB, 1e-3)
-        p5 = cluster.straggler_penalty(1 * MB, 5e-3)
-        assert p1 == pytest.approx(1e-3, rel=1e-6)
-        assert p5 == pytest.approx(5e-3, rel=1e-6)
-
-
-class TestConsistencyWithAnalyticModel:
-    def test_matches_serial_multinode_within_factor(self):
-        """No skew: the composed run lands near the analytic serial
-        composition (same phases, same network)."""
-        nbytes = 4 * MB
-        cluster = ClusterAllreduce(TINY, nnodes=4, ranks_per_node=8)
-        composed = cluster.run(nbytes).time
-        comm = Communicator(8, machine=TINY, functional=False)
-        analytic = MultiNodeAllreduce(
-            comm, 4, implementation="YHCCL", pipelined=False
-        ).allreduce(nbytes).time
-        assert composed == pytest.approx(analytic, rel=0.35)
+        p1 = straggler_penalty(cluster, 1 * MB, 1e-3)
+        p5 = straggler_penalty(cluster, 1 * MB, 5e-3)
+        assert p1 == pytest.approx(1e-3, rel=1e-9)
+        assert p5 == pytest.approx(5e-3, rel=1e-9)

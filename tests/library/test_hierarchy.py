@@ -1,6 +1,8 @@
 """Composable hierarchy framework tests: stage composition, the
-estimate/commit counter discipline, pipeline accounting, topology
-assembly and equivalence with the multinode facade."""
+estimate/commit counter discipline, pipeline accounting, the shared
+policies, and topology assembly."""
+
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,12 +16,15 @@ from repro.library.hierarchy import (
     RingStage,
     SizeSwitchStage,
     TreeAllreduceStage,
+    allreduce_hierarchy,
     allreduce_stages,
     ceil_div,
     hierarchy_for_topology,
+    implementation_policy,
+    pipeline_chunks,
     vendor_network_stage,
 )
-from repro.library.multinode import MultiNodeAllreduce
+from repro.library.mpi import MPILibrary
 from repro.library.yhccl import YHCCL
 from repro.machine.network import Network, NodeGroup, Topology
 
@@ -225,10 +230,10 @@ class TestAllreduceStages:
             return FakeLeafResult(1.0)
 
         net = Network()
-        stages = allreduce_stages(
-            None, net=net, nnodes=4, nranks_per_node=8,
-            leaf_ops={"reduce_scatter": lambda n: FakeLeafResult(1.0),
-                      "allgather": fake_ag})
+        leaves = SimpleNamespace(
+            reduce_scatter=lambda n: FakeLeafResult(1.0), allgather=fake_ag)
+        stages = allreduce_stages(leaves, net=net, nnodes=4,
+                                  nranks_per_node=8)
         ag = stages[2]
         ag.evaluate(100)  # 100 bytes over 8 ranks -> ceil = 13
         ag.evaluate(5)  # tiny message: one byte per rank, not the whole 5
@@ -242,20 +247,19 @@ class TestAllreduceStages:
 
 
 class TestTopologyHierarchy:
-    def test_uniform_matches_multinode_facade(self):
-        """The composed two-level hierarchy reproduces the multinode
-        facade bitwise on a uniform topology."""
+    def test_uniform_matches_library_builder(self):
+        """A uniform topology and the library-driven builder assemble
+        the same hierarchy, bitwise."""
         topo = Topology.uniform("NodeA", 4, 8)
-        h = hierarchy_for_topology(topo)
-        hres = h.run(1 * MB)
+        hres = hierarchy_for_topology(topo).run(1 * MB)
         from repro.machine.spec import PRESETS
 
-        mn = MultiNodeAllreduce(
-            Communicator(8, machine=PRESETS["NodeA"], functional=False), 4)
-        mres = mn.allreduce(1 * MB)  # below the pipeline gate
-        assert hres.time == mres.time
-        assert hres.intra_time == mres.intra_time
-        assert hres.inter_time == mres.inter_time
+        lib = YHCCL(Communicator(8, machine=PRESETS["NodeA"],
+                                 functional=False))
+        lres = allreduce_hierarchy(lib, 4).run(1 * MB)
+        assert hres.time == lres.time
+        assert hres.intra_time == lres.intra_time
+        assert hres.inter_time == lres.inter_time
 
     def test_heterogeneous_groups_gate_on_slowest(self):
         topo = Topology(groups=(NodeGroup("NodeA", 2, 8),
@@ -276,12 +280,50 @@ class TestTopologyHierarchy:
         h = hierarchy_for_topology(topo, implementation="OMPI-hcoll")
         assert isinstance(h.stages[1], BestOfStage)
 
-    def test_custom_network_stage_factory(self):
+    def test_named_exchange_override(self):
         topo = Topology.uniform("NodeA", 8, 8)
-        h = hierarchy_for_topology(
-            topo,
-            network_stage_factory=lambda net, n: RabenseifnerStage(
-                net, n, lanes=8))
+        h = hierarchy_for_topology(topo, exchange="rabenseifner", lanes=8)
+        assert isinstance(h.stages[1], RabenseifnerStage)
+        assert h.stages[1].lanes == 8
         res = h.run(1 * MB)
         inter = [s for s in res.stages if s.level == "inter"]
         assert inter[0].algorithm == "rabenseifner"
+        with pytest.raises(ValueError, match="exchange"):
+            hierarchy_for_topology(topo, exchange="gossip")
+
+
+class TestPolicies:
+    """The implementation mapping, pipeline policy and library-driven
+    builder each have one definition."""
+
+    def test_implementation_mapping(self):
+        y = implementation_policy("YHCCL")
+        assert (y.vendor, y.mode, y.adaptive) == ("YHCCL", "partition",
+                                                  False)
+        h = implementation_policy("OMPI-hcoll")
+        assert (h.vendor, h.mode, h.adaptive) == ("Open MPI", "leader",
+                                                  True)
+        m = implementation_policy("MPICH")
+        assert (m.vendor, m.mode, m.adaptive) == ("MPICH", "leader", False)
+
+    def test_library_follows_vendor(self):
+        comm = Communicator(8, machine=TINY, functional=False)
+        assert isinstance(implementation_policy("YHCCL").library(comm),
+                          YHCCL)
+        lib = implementation_policy("OMPI-hcoll").library(comm)
+        assert isinstance(lib, MPILibrary) and lib.vendor == "Open MPI"
+
+    def test_pipeline_policy(self):
+        assert pipeline_chunks("partition", 2, 4 * MB) == 4
+        assert pipeline_chunks("partition", 2, 4 * MB - 1) == 1
+        assert pipeline_chunks("partition", 1, 64 * MB) == 1
+        assert pipeline_chunks("leader", 16, 64 * MB) == 1
+
+    def test_library_builder_runs_on_any_machine(self):
+        comm = Communicator(8, machine=TINY, functional=False)
+        hcoll = implementation_policy("OMPI-hcoll")
+        h = allreduce_hierarchy(hcoll.library(comm), 4,
+                                implementation="OMPI-hcoll")
+        assert isinstance(h.stages[1], BestOfStage)
+        assert h.nranks == 32
+        assert h.run(64 * KB).time > 0

@@ -1,9 +1,17 @@
-"""Multi-node hierarchical allreduce tests (Figure 16b mechanisms)."""
+"""Multi-node hierarchical allreduce tests (Figure 16b mechanisms),
+written against :class:`~repro.library.hierarchy.Hierarchy` and its
+two-level builder."""
 
 import pytest
 
 from repro.library.communicator import Communicator
-from repro.library.multinode import MultiNodeAllreduce
+from repro.library.hierarchy import (
+    PIPELINE_CHUNKS,
+    allreduce_hierarchy,
+    implementation_policy,
+    pipeline_chunks,
+)
+from repro.machine.network import Network
 
 from tests.conftest import TINY
 
@@ -12,35 +20,42 @@ MB = 1024 * KB
 
 
 def mk(implementation, nnodes):
+    """``nnodes`` TINY nodes of 8 ranks running ``implementation``."""
     comm = Communicator(8, machine=TINY, functional=False)
-    return MultiNodeAllreduce(comm, nnodes, implementation=implementation)
+    lib = implementation_policy(implementation).library(comm)
+    return allreduce_hierarchy(lib, nnodes, implementation=implementation)
+
+
+def allreduce(hier, nbytes, *, pipelined=True):
+    """One allreduce under the library's pipeline policy (the builder
+    names the hierarchy after its implementation)."""
+    mode = implementation_policy(hier.name).mode
+    chunks = pipeline_chunks(mode, hier.nnodes, nbytes) if pipelined else 1
+    return hier.run(nbytes, chunks=chunks)
 
 
 class TestMultiNode:
     def test_single_node_no_network(self):
-        res = mk("YHCCL", 1).allreduce(1 * MB)
+        res = allreduce(mk("YHCCL", 1), 1 * MB)
         assert res.inter_time == 0.0
         assert res.time == res.intra_time
 
     def test_rejects_zero_nodes(self):
-        comm = Communicator(8, machine=TINY, functional=False)
         with pytest.raises(ValueError):
-            MultiNodeAllreduce(comm, 0)
+            mk("YHCCL", 0)
 
     def test_breakdown_sums(self):
-        comm = Communicator(8, machine=TINY, functional=False)
-        res = MultiNodeAllreduce(comm, 8, implementation="YHCCL",
-                                 pipelined=False).allreduce(4 * MB)
+        res = allreduce(mk("YHCCL", 8), 4 * MB, pipelined=False)
         assert res.time == pytest.approx(res.intra_time + res.inter_time)
         # the default (pipelined) never exceeds the serial sum
-        piped = mk("YHCCL", 8).allreduce(4 * MB)
+        piped = allreduce(mk("YHCCL", 8), 4 * MB)
         assert piped.time <= res.intra_time + res.inter_time
 
     def test_multilane_beats_single_leader_large(self):
         """YHCCL's multi-lane network phase (Section 5.5)."""
         s = 64 * MB
-        y = mk("YHCCL", 16).allreduce(s)
-        o = mk("Open MPI", 16).allreduce(s)
+        y = allreduce(mk("YHCCL", 16), s)
+        o = allreduce(mk("Open MPI", 16), s)
         assert y.inter_time < o.inter_time
         assert y.time < o.time
 
@@ -49,24 +64,22 @@ class TestMultiNode:
         across many nodes — the paper's stated weakness of YHCCL's
         ring-based strategy."""
         s = 16 * KB
-        y = mk("YHCCL", 64).allreduce(s)
-        h = mk("OMPI-hcoll", 64).allreduce(s)
+        y = allreduce(mk("YHCCL", 64), s)
+        h = allreduce(mk("OMPI-hcoll", 64), s)
         assert h.inter_time < y.inter_time
 
     def test_hcoll_picks_best_network_phase(self):
-        small = mk("OMPI-hcoll", 16).allreduce(16 * KB)
-        big = mk("OMPI-hcoll", 16).allreduce(64 * MB)
+        small = allreduce(mk("OMPI-hcoll", 16), 16 * KB)
+        big = allreduce(mk("OMPI-hcoll", 16), 64 * MB)
         # consistent: never worse than both pure strategies
-        from repro.machine.network import Network
-
         net = Network()
-        assert small.inter_time <= net.ring_allreduce_time(16 * KB, 16)
-        assert big.inter_time <= net.tree_allreduce_time(64 * MB, 16)
+        assert small.inter_time <= net.ring_allreduce_cost(16 * KB, 16).time
+        assert big.inter_time <= net.tree_allreduce_cost(64 * MB, 16).time
 
     @pytest.mark.parametrize("impl", ["YHCCL", "Open MPI", "MVAPICH2",
                                       "MPICH", "OMPI-hcoll"])
     def test_all_implementations_run(self, impl):
-        assert mk(impl, 4).allreduce(1 * MB).time > 0
+        assert allreduce(mk(impl, 4), 1 * MB).time > 0
 
 
 class TestPipelinedOverlap:
@@ -74,27 +87,20 @@ class TestPipelinedOverlap:
     intra-node phases."""
 
     def test_pipelined_faster_than_serial(self):
-        comm = Communicator(8, machine=TINY, functional=False)
-        serial = MultiNodeAllreduce(comm, 8, implementation="YHCCL",
-                                    pipelined=False).allreduce(8 * MB)
-        comm2 = Communicator(8, machine=TINY, functional=False)
-        piped = MultiNodeAllreduce(comm2, 8, implementation="YHCCL",
-                                   pipelined=True).allreduce(8 * MB)
+        serial = allreduce(mk("YHCCL", 8), 8 * MB, pipelined=False)
+        piped = allreduce(mk("YHCCL", 8), 8 * MB)
         assert piped.time < serial.time
         assert piped.pipelined and not serial.pipelined
-        assert 0.0 < piped.overlap_saving < 1.0
+        # part of the (chunked) phase sum is hidden by the overlap
+        assert piped.time < piped.intra_time + piped.inter_time
 
     def test_single_node_unaffected(self):
-        comm = Communicator(8, machine=TINY, functional=False)
-        res = MultiNodeAllreduce(comm, 1, implementation="YHCCL",
-                                 pipelined=True).allreduce(1 * MB)
+        res = allreduce(mk("YHCCL", 1), 1 * MB)
         assert not res.pipelined
         assert res.inter_time == 0.0
 
     def test_pipeline_bounded_below_by_slowest_stage(self):
-        comm = Communicator(8, machine=TINY, functional=False)
-        mn = MultiNodeAllreduce(comm, 16, implementation="YHCCL")
-        res = mn.allreduce(16 * MB)
+        res = allreduce(mk("YHCCL", 16), 16 * MB)
         assert res.time >= max(res.inter_time,
                                res.intra_time / 2) * 0.99
 
@@ -104,22 +110,23 @@ class TestVendorProbeAccounting:
     must record only the chosen one (estimate/commit split)."""
 
     def test_counters_reflect_only_the_chosen_path(self):
-        mn = mk("OMPI-hcoll", 16)
-        res = mn.allreduce(16 * KB)  # tree wins at this size
-        inter = [s for s in res.hierarchy.stages if s.level == "inter"]
+        hier = mk("OMPI-hcoll", 16)
+        res = allreduce(hier, 16 * KB)  # tree wins at this size
+        inter = [s for s in res.stages if s.level == "inter"]
         assert inter[0].algorithm == "tree"
-        tree = mn.network.tree_allreduce_cost(16 * KB, 16)
-        ring = mn.network.ring_allreduce_cost(16 * KB, 16)
-        assert mn.network.bytes_sent == tree.bytes_on_wire
-        assert mn.network.bytes_sent != tree.bytes_on_wire + ring.bytes_on_wire
-        assert mn.network.messages == tree.messages
+        tree = hier.network.tree_allreduce_cost(16 * KB, 16)
+        ring = hier.network.ring_allreduce_cost(16 * KB, 16)
+        assert hier.network.bytes_sent == tree.bytes_on_wire
+        assert hier.network.bytes_sent != (tree.bytes_on_wire
+                                           + ring.bytes_on_wire)
+        assert hier.network.messages == tree.messages
 
     def test_counters_reset_per_call(self):
-        mn = mk("OMPI-hcoll", 16)
-        mn.allreduce(16 * KB)
-        first = (mn.network.bytes_sent, mn.network.messages)
-        mn.allreduce(16 * KB)
-        assert (mn.network.bytes_sent, mn.network.messages) == first
+        hier = mk("OMPI-hcoll", 16)
+        allreduce(hier, 16 * KB)
+        first = (hier.network.bytes_sent, hier.network.messages)
+        allreduce(hier, 16 * KB)
+        assert (hier.network.bytes_sent, hier.network.messages) == first
 
 
 class TestCeilPartition:
@@ -128,19 +135,18 @@ class TestCeilPartition:
     (nbytes < p)."""
 
     def ag_stage(self, res):
-        return next(s for s in res.hierarchy.stages
-                    if s.name == "allgather")
+        return next(s for s in res.stages if s.name == "allgather")
 
     def test_remainder_not_dropped(self):
-        res = mk("YHCCL", 4).allreduce(100)  # 100 over p=8 ranks
+        res = allreduce(mk("YHCCL", 4), 100)  # 100 over p=8 ranks
         assert self.ag_stage(res).nbytes == 13  # ceil, not 12
 
     def test_tiny_message_not_inflated(self):
-        res = mk("YHCCL", 4).allreduce(5)  # nbytes < p
+        res = allreduce(mk("YHCCL", 4), 5)  # nbytes < p
         assert self.ag_stage(res).nbytes == 1  # one byte, not all 5
 
     def test_exact_division_unchanged(self):
-        res = mk("YHCCL", 4).allreduce(1 * MB)
+        res = allreduce(mk("YHCCL", 4), 1 * MB)
         assert self.ag_stage(res).nbytes == 1 * MB // 8
 
 
@@ -150,60 +156,53 @@ class TestPipelinedAccounting:
     counters."""
 
     def test_messages_scale_with_chunks(self):
-        mn = mk("YHCCL", 8)
-        res = mn.allreduce(8 * MB)
+        hier = mk("YHCCL", 8)
+        res = allreduce(hier, 8 * MB)
         assert res.pipelined
-        c = MultiNodeAllreduce.PIPELINE_CHUNKS
-        per = mn.network.ring_allreduce_cost(
+        c = PIPELINE_CHUNKS
+        per = hier.network.ring_allreduce_cost(
             -(-8 * MB // c), 8, concurrent_procs=8)
-        inter = next(s for s in res.hierarchy.stages if s.level == "inter")
+        inter = next(s for s in res.stages if s.level == "inter")
         assert inter.messages == c * per.messages
         assert inter.steps == c * per.steps
         assert inter.time == per.time * c
 
     def test_document_totals_match_live_counters(self):
-        mn = mk("YHCCL", 8)
-        res = mn.allreduce(8 * MB)
-        assert mn.network.bytes_sent == res.hierarchy.network_bytes
-        assert mn.network.messages == res.hierarchy.network_messages
-        doc = res.hierarchy.to_doc()
+        hier = mk("YHCCL", 8)
+        res = allreduce(hier, 8 * MB)
+        assert hier.network.bytes_sent == res.network_bytes
+        assert hier.network.messages == res.network_messages
+        doc = res.to_doc()
         assert doc["network"]["bytes_sent"] == sum(
             lv["bytes_on_wire"] for lv in doc["levels"])
 
 
 class TestLegacyEquivalence:
-    """The composed two-level hierarchy reproduces the pre-refactor
-    facade arithmetic bitwise (serial path: intra sum + inter sum)."""
+    """The composed two-level hierarchy reproduces the original
+    closed-form arithmetic bitwise (serial path: intra sum + inter
+    sum)."""
 
     def test_yhccl_serial_time_is_legacy_formula(self):
-        comm = Communicator(8, machine=TINY, functional=False)
-        mn = MultiNodeAllreduce(comm, 16, implementation="YHCCL",
-                                pipelined=False)
         s = 4 * MB
-        res = mn.allreduce(s)
+        res = allreduce(mk("YHCCL", 16), s, pipelined=False)
         from repro.library.yhccl import YHCCL
-        from repro.machine.network import Network
 
         lib = YHCCL(Communicator(8, machine=TINY, functional=False))
         rs = lib.reduce_scatter(s)
         ag = lib.allgather(-(-s // 8))
-        inter = Network().ring_allreduce_time(s, 16, concurrent_procs=8)
+        inter = Network().ring_allreduce_cost(s, 16, concurrent_procs=8).time
         assert res.time == (rs.time + ag.time) + inter
         assert res.intra_time == rs.time + ag.time
         assert res.inter_time == inter
 
     def test_vendor_serial_time_is_legacy_formula(self):
-        comm = Communicator(8, machine=TINY, functional=False)
-        mn = MultiNodeAllreduce(comm, 16, implementation="Open MPI")
         s = 1 * MB
-        res = mn.allreduce(s)
+        res = allreduce(mk("Open MPI", 16), s)
         from repro.library.mpi import MPILibrary
-        from repro.machine.network import Network
 
         lib = MPILibrary(Communicator(8, machine=TINY, functional=False),
                          "Open MPI")
-        net = Network()
         # size-switch picks the single-lane ring above the tree cutoff
-        inter = net.ring_allreduce_time(s, 16)
+        inter = Network().ring_allreduce_cost(s, 16).time
         expect = (lib.reduce(s).time + lib.bcast(s).time) + inter
         assert res.time == expect

@@ -68,17 +68,17 @@ class TestEffectiveBandwidth:
 class TestP2P:
     def test_latency_floor(self):
         net = Network()
-        assert net.p2p_time(0) == INFINIBAND_EDR.latency
+        assert net.p2p_cost(0).time == INFINIBAND_EDR.latency
 
     def test_bandwidth_term(self):
         net = Network()
-        t = net.p2p_time(1 << 20)
+        t = net.p2p_cost(1 << 20).time
         expect = INFINIBAND_EDR.latency + (1 << 20) / INFINIBAND_EDR.lane_bandwidth
         assert t == pytest.approx(expect)
 
     def test_rejects_negative_size(self):
         with pytest.raises(ValueError):
-            Network().p2p_time(-1)
+            Network().p2p_cost(-1)
 
 
 class TestEstimateCommit:
@@ -86,9 +86,9 @@ class TestEstimateCommit:
 
     def test_time_queries_are_side_effect_free(self):
         net = Network()
-        net.p2p_time(1000)
-        net.ring_allreduce_time(1 << 20, 8)
-        net.tree_allreduce_time(1 << 20, 8)
+        net.p2p_cost(1000)
+        net.ring_allreduce_cost(1 << 20, 8)
+        net.tree_allreduce_cost(1 << 20, 8)
         net.rabenseifner_allreduce_cost(1 << 20, 8)
         assert net.bytes_sent == 0 and net.messages == 0
 
@@ -144,26 +144,26 @@ class TestEstimateCommit:
 
 class TestRingAllreduce:
     def test_single_node_free(self):
-        assert Network().ring_allreduce_time(1 << 20, 1) == 0.0
+        assert Network().ring_allreduce_cost(1 << 20, 1).time == 0.0
 
     def test_multi_lane_faster(self):
         net = Network()
-        slow = net.ring_allreduce_time(64 << 20, 8, concurrent_procs=1)
-        fast = net.ring_allreduce_time(64 << 20, 8, concurrent_procs=64)
-        assert fast < slow / 2
+        slow = net.ring_allreduce_cost(64 << 20, 8, concurrent_procs=1)
+        fast = net.ring_allreduce_cost(64 << 20, 8, concurrent_procs=64)
+        assert fast.time < slow.time / 2
 
     def test_scales_with_nodes_latency(self):
         net = Network()
-        t4 = net.ring_allreduce_time(1024, 4)
-        t16 = net.ring_allreduce_time(1024, 16)
+        t4 = net.ring_allreduce_cost(1024, 4).time
+        t16 = net.ring_allreduce_cost(1024, 16).time
         assert t16 > t4  # more latency steps
 
 
 class TestTreeCollectives:
     def test_tree_bcast_log_rounds(self):
         net = Network()
-        t2 = net.tree_bcast_time(1024, 2)
-        t16 = net.tree_bcast_time(1024, 16)
+        t2 = net.tree_bcast_cost(1024, 2).time
+        t16 = net.tree_bcast_cost(1024, 16).time
         assert t16 == pytest.approx(4 * t2)
 
     def test_tree_bcast_non_power_of_two_rounds_and_bytes(self):
@@ -179,21 +179,22 @@ class TestTreeCollectives:
 
     def test_tree_allreduce_is_double_bcast(self):
         net = Network()
-        assert net.tree_allreduce_time(4096, 8) == pytest.approx(
-            2 * net.tree_bcast_time(4096, 8)
+        assert net.tree_allreduce_cost(4096, 8).time == pytest.approx(
+            2 * net.tree_bcast_cost(4096, 8).time
         )
 
     def test_tree_beats_ring_small_messages_many_nodes(self):
         net = Network()
         s = 16 * 1024
-        assert net.tree_allreduce_time(s, 64) < net.ring_allreduce_time(s, 64)
+        assert (net.tree_allreduce_cost(s, 64).time
+                < net.ring_allreduce_cost(s, 64).time)
 
     def test_ring_beats_tree_large_messages(self):
         net = Network()
         s = 256 << 20
         assert (
-            net.ring_allreduce_time(s, 16, concurrent_procs=64)
-            < net.tree_allreduce_time(s, 16)
+            net.ring_allreduce_cost(s, 16, concurrent_procs=64).time
+            < net.tree_allreduce_cost(s, 16).time
         )
 
 
