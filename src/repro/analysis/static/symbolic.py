@@ -1,11 +1,10 @@
 """Symbolic-size schedules: certify decision-guard regions exactly.
 
-PR 8's size-polymorphic replay keys one captured schedule per
-*decision region* (:func:`repro.models.nt_model.decision_guards`) and
-model-retimes it for other sizes — an estimate resting on an unproven
-assumption: that the schedule *shape* really is invariant across every
-size the region claims.  This module turns that assumption into a
-checked certificate.
+Size-polymorphic replay keys one captured schedule per *decision
+region* (:func:`repro.models.nt_model.decision_guards`) and serves
+other sizes from it — sound only if the schedule *shape* really is
+invariant across every size the region claims.  This module turns
+that assumption into a checked certificate.
 
 The abstract domain is **piecewise-affine in the message size** ``s``:
 inside one guard region, restricted to one residue class of
@@ -48,10 +47,10 @@ Certification of a region (:func:`certify_region`):
   after a different one on the sorted sweep) (``SA-SYM-GUARD``).
 
 A certified region serializes as schema ``repro-symcert/1`` and rides
-the compiled-schedule cache: ``bench --compiled --poly --certified``
-replays retimed cells with engine-exact per-op byte counts and exact
-DAV (durations stay model-derived — that is the documented estimate;
-the *bytes* no longer are).
+the compiled-schedule cache: ``bench --compiled --poly`` replays
+in-span cells with engine-exact per-op byte counts and exact DAV
+(durations stay model-derived); a refused region or an out-of-span
+size replays its own exact capture instead.
 """
 
 from __future__ import annotations
@@ -1105,7 +1104,7 @@ def certify_region(spec, machine: MachineSpec, p: int, base: int, *,
 #: default base-size ceiling for matrix certification: regions above
 #: this ship DAGs with hundreds of pipeline rounds (capture cost grows
 #: with op count, not bytes) and are certified on demand by the bench
-#: ``--certified`` path instead; skipped bases are *reported*, never
+#: ``--poly`` path instead; skipped bases are *reported*, never
 #: silently dropped
 DEFAULT_MAX_BASE = 4 * 1024 * 1024
 
@@ -1165,7 +1164,7 @@ def certify_matrix(machine: MachineSpec, *,
                     message=f"{len(skipped)} region(s) above the "
                             f"{max_base} B certification cap not "
                             f"certified here (bases {skipped}); the "
-                            "bench --certified path certifies them on "
+                            "bench --poly path certifies them on "
                             "demand",
                     pass_name="sym-certify", case=case,
                     data={"max_base": max_base, "bases": skipped},

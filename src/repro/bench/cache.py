@@ -103,8 +103,9 @@ class ResultCache:
             except (OSError, ValueError, KeyError, TypeError):
                 pass  # absent or corrupt entry: recompute
             else:
-                self.hits += 1
-                return result
+                if isinstance(result, dict):  # else corrupt: recompute
+                    self.hits += 1
+                    return result
         self.misses += 1
         return None
 

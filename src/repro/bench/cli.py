@@ -46,16 +46,11 @@ def add_bench_parser(sub) -> None:
     )
     bench.add_argument(
         "--poly", action="store_true",
-        help="size-polymorphic compiled replay: one captured schedule "
-             "serves every size in a decision region (other sizes are "
-             "model-retimed); requires --compiled",
-    )
-    bench.add_argument(
-        "--certified", action="store_true",
-        help="certify each decision region with the symbolic-size "
-             "analyzer and replay with engine-exact DAV/footprints "
-             "(uncertifiable regions fall back to model retiming and "
-             "report their SA-SYM-* codes); requires --poly",
+        help="size-polymorphic compiled replay: each decision region is "
+             "certified with the symbolic-size analyzer and one captured "
+             "schedule serves every size its certificate covers; "
+             "refused regions and out-of-span sizes replay exactly; "
+             "requires --compiled",
     )
     bench.add_argument(
         "--perturb", type=int, default=0, metavar="N",
@@ -71,12 +66,6 @@ def add_bench_parser(sub) -> None:
     bench.add_argument(
         "--perturb-seed", type=int, default=2023, metavar="SEED",
         help="base seed for perturbation ensembles (default 2023)",
-    )
-    bench.add_argument(
-        "--microbench", action="store_true",
-        help="also run the capture-cost/batched-replay microbenchmark "
-             "(writes BENCH_compiled.json); implied by "
-             "'--compiled all'",
     )
     bench.add_argument(
         "--quick", action="store_true",
@@ -100,10 +89,6 @@ def run_bench_command(args) -> int:
         which = "--poly" if args.poly else "--perturb"
         print(f"error: {which} requires --compiled (it operates on "
               "captured schedules)", file=sys.stderr)
-        return 2
-    if args.certified and not args.poly:
-        print("error: --certified requires --poly (it certifies "
-              "decision regions)", file=sys.stderr)
         return 2
     if args.perturb < 0:
         print("error: --perturb must be >= 0", file=sys.stderr)
@@ -144,7 +129,6 @@ def run_bench_command(args) -> int:
         use_cache=not args.no_cache,
         compiled=args.compiled,
         poly=args.poly,
-        certified=args.certified,
         perturb=perturb,
         progress=progress,
     )
@@ -153,36 +137,16 @@ def run_bench_command(args) -> int:
         print(canonical_dumps(summary), end="")
     results_dir = default_results_dir()
     mode = "compiled" if args.compiled else "coroutine"
-    micro = None
-    if args.microbench or (args.compiled and args.name == "all"):
-        from repro.bench.compiled import run_capture_microbench
-
-        micro = run_capture_microbench(
-            results_dir,
-            progress=None if args.json else progress)
     if args.name == "all":
         block = _record_wall_clock(results_dir, mode, elapsed,
-                                   summary.get("source_version", ""),
-                                   microbench=micro)
-        if block and "speedup" in block:
+                                   summary.get("source_version", ""))
+        if "speedup" in block:
             print(
                 f"[bench] wall clock: coroutine {block['coroutine']}s, "
                 f"compiled {block['compiled']}s — "
                 f"{block['speedup']}x speedup",
                 file=sys.stderr,
             )
-    elif micro is not None:
-        _record_wall_clock(results_dir, mode, elapsed,
-                           summary.get("source_version", ""),
-                           microbench=micro, record_elapsed=False)
-    if micro is not None:
-        print(
-            f"[bench] microbench: capture {micro['capture_overhead']:.2f}x "
-            f"coroutine; batched B={micro['batch']['n']} "
-            f"{micro['batch']['speedup_vs_loop']:.1f}x vs loop "
-            f"(bitwise_equal={micro['bitwise_equal']})",
-            file=sys.stderr,
-        )
     print(
         f"[bench] {len(selected)} benchmark(s) ({mode}) in {elapsed:.1f}s; "
         f"{cache.stats()}; JSON under {results_dir}/BENCH_*.json",
@@ -192,8 +156,7 @@ def run_bench_command(args) -> int:
 
 
 def _record_wall_clock(results_dir, mode: str, elapsed: float,
-                       source: str, *, microbench=None,
-                       record_elapsed: bool = True):
+                       source: str) -> dict:
     """Append the advisory ``wall_clock`` block to the summary on disk.
 
     Entries for both engine modes accumulate across runs of one source
@@ -201,11 +164,8 @@ def _record_wall_clock(results_dir, mode: str, elapsed: float,
     source change discards stale timings.  Because ``run_suite``
     rewrites ``BENCH_summary.json`` from scratch on every run, the
     block persists in a ``wall_clock.json`` sidecar and is merged back
-    into the summary here.  The capture microbenchmark's headline
-    numbers ride along under ``microbench`` (the full document lives
-    in ``BENCH_compiled.json``).  This block is the documented
-    exception to the summary's determinism guarantee — see
-    :mod:`repro.bench.jsonio`.
+    into the summary here.  This block is the documented exception to
+    the summary's determinism guarantee — see :mod:`repro.bench.jsonio`.
     """
     import json
 
@@ -218,18 +178,9 @@ def _record_wall_clock(results_dir, mode: str, elapsed: float,
         block = {}
     if not isinstance(block, dict) or block.get("source") != source:
         block = {"source": source}
-    if record_elapsed:
-        block[mode] = round(elapsed, 3)
+    block[mode] = round(elapsed, 3)
     if block.get("coroutine") and block.get("compiled"):
         block["speedup"] = round(block["coroutine"] / block["compiled"], 2)
-    if microbench is not None:
-        block["microbench"] = {
-            "capture_overhead": round(microbench["capture_overhead"], 3),
-            "capture_s": round(microbench["capture_s"], 4),
-            "batch_speedup_vs_loop": round(
-                microbench["batch"]["speedup_vs_loop"], 2),
-            "bitwise_equal": microbench["bitwise_equal"],
-        }
     sidecar.write_text(canonical_dumps(block))
     path = results_dir / "BENCH_summary.json"
     try:

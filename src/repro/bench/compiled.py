@@ -22,15 +22,15 @@ cache outcomes in the memory system are access-order and size
 dependent, exact schedules are captured per ``(collective, p, size)``
 cell — cross-size reuse would silently break exactness.
 
-**Size-polymorphic mode** (``poly=True`` payloads) relaxes that
-deliberately: schedules key per *decision region*
-(:func:`repro.models.nt_model.decision_guards` — every size-dependent
-adaptive decision, evaluated as data).  A cell whose guards match a
-cached capture replays it — exactly when the sizes coincide, via
-model-level re-timing (:meth:`CompiledSchedule.model_durations` with
-scaled footprints) otherwise.  A guard flip keys a different entry,
-which *is* the automatic recapture.  One capture serves every size in
-its region.
+**Size-polymorphic mode** (``poly=True`` payloads) shares one capture
+per *decision region* (:func:`repro.models.nt_model.decision_guards` —
+every size-dependent adaptive decision, evaluated as data) and is
+exact or refuses, never estimated.  The region's symbolic certificate
+proves its schedule shape over a span of sizes; a size inside that
+span replays with the certificate's exact footprints and DAV.  Every
+other size — a refused region, or one outside the certified span —
+replays its own exact capture.  A guard flip keys a different entry,
+which *is* the automatic recapture.
 
 An in-process memo front-ends the on-disk schedule cache so that
 perturbation ensembles and ``--no-cache`` re-simulations never
@@ -169,7 +169,7 @@ def schedule_descriptor(cell: dict, *, poly: bool = False,
 
 
 # ---------------------------------------------------------------------------
-# Capture / replay / re-time
+# Capture / replay
 # ---------------------------------------------------------------------------
 
 
@@ -237,53 +237,8 @@ def replay_cell(cs: CompiledSchedule) -> dict:
     }
 
 
-def retime_durations(cs: CompiledSchedule, machine,
-                     nbytes: int) -> "Tuple[object, float]":
-    """Model-level per-op durations for replaying ``cs`` at a
-    different size in its decision region.  Returns ``(dur, factor)``
-    where ``factor = nbytes / captured_size`` scales every
-    byte-proportional quantity."""
-    import numpy as np
-
-    captured = int(cs.meta.get("s", 0))
-    if captured <= 0:
-        raise ValueError("schedule carries no captured size; cannot retime")
-    factor = nbytes / captured
-    scaled = np.rint(cs.nbytes * factor).astype(np.int64)
-    return cs.model_durations(machine, nbytes=scaled), factor
-
-
-def retime_cell(cs: CompiledSchedule, machine, nbytes: int) -> dict:
-    """Model-level re-timing of a captured schedule at a different
-    message size in the same decision region.
-
-    Per-op byte footprints are scaled by ``nbytes / captured_size``
-    (the guards guarantee the op *structure* is size-invariant inside
-    a region; only the bytes each op moves scale), durations come from
-    :meth:`CompiledSchedule.model_durations`, and the byte-proportional
-    aggregates (DAV, per-level traffic) scale by the same factor.
-    This is a model estimate, not the engine-exact stateful charge —
-    the result carries ``poly.retimed = True`` to say so.
-    """
-    from repro.obs.counters import Counters
-
-    dur, factor = retime_durations(cs, machine, nbytes)
-    times = [float(t) for t in cs.evaluate(dur=dur).rank_times]
-    traffic = [
-        {name: int(round(tc[name] * factor)) for name in _TRAFFIC_FIELDS}
-        for tc in (cs.meta.get("traffic") or ())
-    ]
-    counters = Counters.from_machine(times, traffic or None)
-    return {
-        "time": max(times),
-        "dav": int(round(int(cs.meta.get("dav", 0)) * factor)),
-        "algorithm": cs.meta.get("algorithm", ""),
-        "counters": counters.snapshot(),
-    }
-
-
 # ---------------------------------------------------------------------------
-# Region certificates (bench --compiled --poly --certified)
+# Region certificates (bench --compiled --poly)
 # ---------------------------------------------------------------------------
 
 
@@ -327,7 +282,9 @@ def _load_certificate(payload: dict, cs: CompiledSchedule) -> tuple:
     if results_dir:
         cache = CompiledScheduleCache(Path(results_dir) / "compiled")
         doc = cache.get(ckey)
-        if doc is not None:
+        # an entry under any other schema (future or stale) is a miss,
+        # whether positive or negative
+        if doc is not None and doc.get("schema") == SYMCERT_SCHEMA:
             entry = None
             if doc.get("ok") is False:
                 entry = (None, list(doc.get("errors", ())))
@@ -364,18 +321,20 @@ def _memo_put_cert(memo_key: Tuple[str, str], entry: tuple) -> None:
 
 def certified_cell(cs: CompiledSchedule, machine, cert,
                    nbytes: int) -> tuple:
-    """Engine-exact certified replay of ``cs`` at ``nbytes``.
+    """Certified replay of ``cs`` at ``nbytes`` in its region.
 
     The certificate supplies the *exact* per-op byte footprints and the
-    exact DAV at the replay size (affine evaluation, not
-    ``s_new / s_captured`` scaling).  Durations are still the static
-    timing model's (:func:`repro.sim.compiled.symbolic_durations`) —
-    certification proves the schedule *shape* and byte accounting, not
-    the stateful cache charge.  Cross-checks the certificate against
+    exact DAV at the replay size (affine evaluation).  The rest is
+    model-derived: durations come from the static timing model
+    (:func:`repro.sim.compiled.symbolic_durations`) — certification
+    proves the schedule *shape* and byte accounting, not the stateful
+    cache charge — and the traffic counters scale by
+    ``nbytes / captured size``.  Cross-checks the certificate against
     the schedule before trusting it: the certificate evaluated at the
     captured size must reproduce the schedule's own footprints and
-    engine DAV bitwise.  Raises ``ValueError`` on any mismatch — the
-    caller falls back to plain retiming and reports the failure.
+    engine DAV bitwise.  Raises ``ValueError`` on any mismatch or on a
+    size outside the certified span — the caller then replays the
+    cell's exact capture and reports the reason.
 
     Returns ``(result dict, per-op durations)``.
     """
@@ -486,16 +445,18 @@ def exec_compiled_cell(payload: dict) -> dict:
     the cache-less case within one process.
 
     ``poly: True`` payloads key the schedule by decision region and
-    re-time on size mismatch; ``certified: True`` (with poly) loads or
-    builds the region's symbolic certificate
-    (:func:`repro.analysis.static.symbolic.certify_region`) and, when
-    it verifies against the cached schedule, swaps the scaled DAV and
-    footprints for the certificate's *exact* affine evaluations —
-    uncertifiable regions fall back to plain retiming with their
-    ``SA-SYM-*`` codes in ``poly.cert_errors``, never silently.  A
-    ``perturb`` block (``{"n", "model", "seed"}``) replays a seeded
-    noise ensemble through the batched evaluator and attaches tail
-    statistics.
+    are exact or refused, never estimated.  The region's symbolic
+    certificate (:func:`repro.analysis.static.symbolic.certify_region`)
+    loads or builds and is cross-checked against the cached schedule.
+    A size inside its certified span replays with the certificate's
+    *exact* affine footprints and DAV (``poly.certified``, and
+    ``poly.retimed`` away from the anchor size).  Every other cell — a
+    refused region or a size outside the span — replays an exact
+    schedule: the anchor's own, or its size's plain ``--compiled``
+    capture, with the ``SA-SYM-*`` codes or the refusal reason in
+    ``poly.cert_errors``.  A ``perturb`` block (``{"n", "model",
+    "seed"}``) replays a seeded noise ensemble through the batched
+    evaluator and attaches tail statistics.
 
     ``poly.region`` carries the full content-addressed schedule key —
     table rendering truncates for display, the JSON never does (a
@@ -504,7 +465,7 @@ def exec_compiled_cell(payload: dict) -> dict:
     Hierarchy-family cells dispatch to
     :func:`repro.bench.hierarchy.exec_hierarchy_compiled` — their
     leaves replay through this module's schedule cache individually,
-    and the poly/certified/perturb flags do not apply to them.
+    and the poly/perturb flags do not apply to them.
     """
     from repro.machine.spec import PRESETS
 
@@ -514,44 +475,43 @@ def exec_compiled_cell(payload: dict) -> dict:
         return exec_hierarchy_compiled(payload)
 
     poly = bool(payload.get("poly"))
-    certified = poly and bool(payload.get("certified"))
     guards = cell_guards(payload) if poly else None
     if poly:
         payload = dict(payload, guards=guards)
     key = descriptor_key(
         schedule_descriptor(payload, poly=poly, guards=guards))
     cs, captured = _load_schedule(payload, key)
-    machine = PRESETS[payload["machine"]]
-    retimed = poly and int(cs.meta.get("s", -1)) != payload["nbytes"]
+    result: Optional[dict] = None
     dur = None  # base durations the cell replays (None = captured)
-    if retimed:
-        dur, _ = retime_durations(cs, machine, payload["nbytes"])
-        result = retime_cell(cs, machine, payload["nbytes"])
-        result["poly"] = {"region": key, "retimed": True}
-    else:
-        result = replay_cell(cs)
-        if poly:
-            result["poly"] = {"region": key, "retimed": False}
-    if certified:
+    if poly:
+        nbytes = payload["nbytes"]
+        anchor = int(cs.meta.get("s", -1)) == nbytes
         cert, codes = _load_certificate(payload, cs)
-        if cert is None:
-            result["poly"]["certified"] = False
-            result["poly"]["cert_errors"] = codes
-        else:
+        if cert is not None:
             try:
-                cres, cdur = certified_cell(cs, machine, cert,
-                                            payload["nbytes"])
+                cres, cdur = certified_cell(
+                    cs, PRESETS[payload["machine"]], cert, nbytes)
             except ValueError as exc:
-                result["poly"]["certified"] = False
-                result["poly"]["cert_errors"] = [str(exc)]
-            else:
-                if retimed:
-                    # swap the scaled estimate for the exact evaluation
-                    cres["poly"] = dict(result["poly"])
-                    result, dur = cres, cdur
-                result["poly"]["certified"] = True
-                result["poly"]["cert"] = _cert_summary(
-                    cert, payload["nbytes"])
+                cert, codes = None, [str(exc)]
+        if cert is not None:
+            block = {"region": key, "retimed": not anchor,
+                     "certified": True, "cert": _cert_summary(cert, nbytes)}
+            if not anchor:
+                result, dur = cres, cdur
+        else:
+            block = {"region": key, "retimed": False, "certified": False,
+                     "cert_errors": codes}
+            if not anchor:
+                # refused: replay this size's own exact capture, the
+                # one plain --compiled runs share
+                exact = dict(payload, poly=False)
+                cs, recaptured = _load_schedule(
+                    exact, descriptor_key(schedule_descriptor(exact)))
+                captured = captured or recaptured
+    if result is None:
+        result = replay_cell(cs)
+    if poly:
+        result["poly"] = block
     pb = payload.get("perturb")
     if pb:
         import hashlib
@@ -576,100 +536,3 @@ def exec_compiled_cell(payload: dict) -> dict:
     if captured:
         result["captured"] = True  # transient: stripped before caching
     return result
-
-
-# ---------------------------------------------------------------------------
-# Capture-cost microbenchmark
-# ---------------------------------------------------------------------------
-
-MICROBENCH_SCHEMA = "repro-compiled-bench/1"
-
-
-def run_capture_microbench(results_dir: Optional[Path] = None, *,
-                           batch: int = 256, p: int = 8,
-                           nbytes: int = 1024 * 1024,
-                           progress=None) -> dict:
-    """Measure capture overhead and batched-replay throughput on one
-    representative cell (socket-MA adaptive allreduce).
-
-    Wall-clock numbers, so the document is **not** deterministic; it is
-    written to ``BENCH_compiled.json`` — a sidecar like
-    ``wall_clock.json``, exempt from the byte-stability rule — and
-    mirrored into ``BENCH_summary.json``'s ``wall_clock`` block by the
-    CLI.  ``bitwise_equal`` (batched replay ≡ a loop of single replays)
-    and ``ops`` are deterministic and double as a smoke check.
-    """
-    import json
-    from time import perf_counter
-
-    import numpy as np
-
-    from repro.bench.spec import reduce_spec
-    from repro.library.communicator import Communicator
-    from repro.machine.spec import NODE_A
-    from repro.sim.perturb import sample_ensemble
-
-    spec = reduce_spec("socket-ma", "allreduce", "adaptive")
-    machine = NODE_A
-
-    def _say(msg: str) -> None:
-        if progress is not None:
-            progress(msg)
-
-    _say(f"[microbench] coroutine run p={p} s={nbytes} ...")
-    t0 = perf_counter()
-    comm = Communicator(p, machine=machine, functional=False)
-    spec.resolve()(comm, nbytes)
-    coroutine_s = perf_counter() - t0
-
-    _say("[microbench] capture + lower ...")
-    t0 = perf_counter()
-    cs = capture_schedule(spec, machine, p, nbytes)
-    capture_s = perf_counter() - t0
-
-    base = cs.evaluate()  # build the level plan outside the timed loop
-    reps = 50
-    t0 = perf_counter()
-    for _ in range(reps):
-        cs.evaluate()
-    replay_s = (perf_counter() - t0) / reps
-
-    _say(f"[microbench] batched replay B={batch} ...")
-    ens = sample_ensemble(cs, batch, seed=2023, model="mixed")
-    t0 = perf_counter()
-    loop = [cs.evaluate(dur=ens.dur[i]) for i in range(batch)]
-    loop_s = perf_counter() - t0
-    t0 = perf_counter()
-    batched = cs.evaluate_batch(dur=ens.dur)
-    batch_s = perf_counter() - t0
-    bitwise = all(
-        np.array_equal(batched.completion[i], loop[i].completion)
-        and list(batched.rank_times[i]) == list(loop[i].rank_times)
-        for i in range(batch)
-    )
-
-    doc = {
-        "schema": MICROBENCH_SCHEMA,
-        "cell": {"runner": spec.describe(), "machine": machine.name,
-                 "p": p, "nbytes": nbytes},
-        "ops": len(cs),
-        "time": base.time,
-        "coroutine_s": coroutine_s,
-        "capture_s": capture_s,
-        "capture_overhead": capture_s / coroutine_s if coroutine_s else 0.0,
-        "replay_s": replay_s,
-        "replays_per_s": 1.0 / replay_s if replay_s else 0.0,
-        "batch": {
-            "n": batch,
-            "wall_s": batch_s,
-            "loop_wall_s": loop_s,
-            "speedup_vs_loop": loop_s / batch_s if batch_s else 0.0,
-        },
-        "bitwise_equal": bool(bitwise),
-    }
-    if results_dir is not None:
-        out = Path(results_dir) / "BENCH_compiled.json"
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-        _say(f"[microbench] wrote {out}")
-    return doc

@@ -82,7 +82,7 @@ def exec_payload(payload: dict) -> dict:
 
 
 def cell_descriptor(cell: dict, *, compiled: bool = False,
-                    poly: bool = False, certified: bool = False,
+                    poly: bool = False,
                     perturb: Optional[dict] = None) -> dict:
     """The cache identity of a sweep cell: full machine spec, runner
     spec, geometry and the repro source version.
@@ -92,12 +92,11 @@ def cell_descriptor(cell: dict, *, compiled: bool = False,
     byte-stable): replayed results are bitwise-equal to coroutine ones
     by construction, but sharing entries would let a cached coroutine
     result mask a compiled-path regression.  Size-polymorphic replay
-    keys as ``engine: "compiled-poly"`` — a re-timed result is a model
-    estimate and must never be served where an exact one is expected —
-    and the certified path as ``engine: "compiled-poly-certified"``
-    (its DAV/footprints come from region certificates, a different
-    result).  A perturbation config changes the result content (tail
-    statistics ride along), so it is part of the identity too.
+    keys as ``engine: "compiled-poly"`` — a certified retimed result
+    carries model-derived times and must never be served where an
+    exact one is expected.  A perturbation config changes the result
+    content (tail statistics ride along), so it is part of the
+    identity too.
     """
     from repro.machine.spec import PRESETS
 
@@ -111,8 +110,7 @@ def cell_descriptor(cell: dict, *, compiled: bool = False,
         "runner": cell["runner"],
     }
     if compiled:
-        desc["engine"] = ("compiled-poly-certified" if poly and certified
-                          else "compiled-poly" if poly else "compiled")
+        desc["engine"] = "compiled-poly" if poly else "compiled"
         if perturb:
             desc["perturb"] = dict(perturb)
     return desc
@@ -196,7 +194,7 @@ def _drain(work: "list[_Work]", cache: Optional[ResultCache],
 
 
 def _sweep_work(spec: SweepSpec, *, compiled: bool = False,
-                poly: bool = False, certified: bool = False,
+                poly: bool = False,
                 perturb: Optional[dict] = None,
                 results_dir: Optional[Path] = None) -> "list[_Work]":
     out = []
@@ -212,15 +210,12 @@ def _sweep_work(spec: SweepSpec, *, compiled: bool = False,
             payload["compiled"] = True
             if poly:
                 payload["poly"] = True
-                if certified:
-                    payload["certified"] = True
             if perturb:
                 payload["perturb"] = dict(perturb)
             if results_dir is not None:
                 payload["results_dir"] = str(results_dir)
         out.append(_Work(payload, cell_descriptor(
-            cell, compiled=compiled, poly=poly, certified=certified,
-            perturb=perturb)))
+            cell, compiled=compiled, poly=poly, perturb=perturb)))
     return out
 
 
@@ -228,9 +223,7 @@ def _sweep_table(spec: SweepSpec, work: "list[_Work]") -> SweepTable:
     table = SweepTable(title=spec.title, sizes=list(spec.sizes),
                        baseline=spec.baseline)
     regions = set()
-    retimed = 0
-    certified = 0
-    uncertified = 0
+    retimed = certified = refused = 0
     for cell, w in zip(spec.cells(), work):
         # .get: cache entries written before the counter schema lack
         # the key (source_version() normally invalidates them, but a
@@ -243,16 +236,15 @@ def _sweep_table(spec: SweepSpec, work: "list[_Work]") -> SweepTable:
         if poly:
             regions.add(poly["region"])
             retimed += bool(poly.get("retimed"))
-            if "certified" in poly:
-                certified += bool(poly["certified"])
-                uncertified += not poly["certified"]
+            certified += bool(poly.get("certified"))
+            refused += not poly.get("certified")
     if regions:
         note = (f"size-poly: {len(work)} cells from {len(regions)} "
-                f"decision regions ({retimed} model-retimed)")
-        if certified or uncertified:
-            note += (f"; {certified} certified"
-                     + (f", {uncertified} NOT certified (see "
-                        "poly.cert_errors)" if uncertified else ""))
+                f"decision regions ({retimed} model-retimed); "
+                f"{certified} certified")
+        if refused:
+            note += (f", {refused} replayed exactly (see "
+                     "poly.cert_errors)")
         table.notes.append(note)
     return table
 
@@ -262,7 +254,6 @@ def run_sweep_table(spec: SweepSpec, *,
                     pool: Optional[ProcessPoolExecutor] = None,
                     compiled: bool = False,
                     poly: bool = False,
-                    certified: bool = False,
                     perturb: Optional[dict] = None,
                     results_dir: Optional[Path] = None) -> SweepTable:
     """Execute one sweep (serial and uncached unless given otherwise).
@@ -271,16 +262,13 @@ def run_sweep_table(spec: SweepSpec, *,
     from their ``run_figure`` helpers and keep their shape assertions.
     ``compiled=True`` replays lowered schedules instead of executing
     the coroutine engine (persisted under ``results_dir`` when given);
-    ``poly=True`` shares schedules across sizes per decision region,
-    ``certified=True`` additionally proves each region's schedule
-    shape with a symbolic certificate and replays with engine-exact
-    DAV/footprints, and ``perturb`` (``{"n", "model", "seed"}``)
-    attaches tail statistics from a seeded noise ensemble to every
-    cell.
+    ``poly=True`` shares schedules across sizes per certified decision
+    region (sizes it cannot certify replay exactly), and ``perturb``
+    (``{"n", "model", "seed"}``) attaches tail statistics from a
+    seeded noise ensemble to every cell.
     """
     work = _sweep_work(spec, compiled=compiled, poly=poly,
-                       certified=certified, perturb=perturb,
-                       results_dir=results_dir)
+                       perturb=perturb, results_dir=results_dir)
     _drain(work, cache, pool)
     return _sweep_table(spec, work)
 
@@ -291,12 +279,11 @@ def run_benchmark(bench: Benchmark, *,
                   pool: Optional[ProcessPoolExecutor] = None,
                   compiled: bool = False,
                   poly: bool = False,
-                  certified: bool = False,
                   perturb: Optional[dict] = None,
                   results_dir: Optional[Path] = None) -> BenchResult:
     """Execute one benchmark through the cache/pool machinery.
 
-    ``compiled`` / ``poly`` / ``certified`` / ``perturb`` apply to
+    ``compiled`` / ``poly`` / ``perturb`` apply to
     declarative sweep cells only: custom benchmark functions drive the
     engine themselves and always run the coroutine path.
     """
@@ -317,8 +304,7 @@ def run_benchmark(bench: Benchmark, *,
         result.custom_payload = work[0].result["payload"]
         return result
     all_work = [_sweep_work(s, compiled=compiled, poly=poly,
-                            certified=certified, perturb=perturb,
-                            results_dir=results_dir)
+                            perturb=perturb, results_dir=results_dir)
                 for s in bench.sweeps]
     flat = [w for ws in all_work for w in ws]
     _drain(flat, cache, pool)
@@ -336,7 +322,6 @@ def run_suite(benchmarks: "Dict[str, Benchmark]", *,
               write_json: bool = True,
               compiled: bool = False,
               poly: bool = False,
-              certified: bool = False,
               perturb: Optional[dict] = None,
               progress=None):
     """Run a set of benchmarks; write per-benchmark JSON documents and
@@ -347,9 +332,8 @@ def run_suite(benchmarks: "Dict[str, Benchmark]", *,
     switches sweep cells to the compiled-schedule replay path; the
     lowered schedules persist under ``<results_dir>/compiled/`` even
     when the result cache is disabled.  ``poly`` keys schedules by
-    decision region (one capture serves every size whose adaptive
-    decisions agree); ``certified`` proves each region with a symbolic
-    certificate for engine-exact DAV/footprints; ``perturb`` attaches
+    decision region (one capture serves every size its certificate
+    covers; any other size replays exactly); ``perturb`` attaches
     seeded tail statistics.
     """
     from repro.bench.discover import benchmarks_dir, default_results_dir
@@ -373,8 +357,7 @@ def run_suite(benchmarks: "Dict[str, Benchmark]", *,
                 progress(f"[bench] {name} ...")
             res = run_benchmark(bench, bench_dir=bench_dir, cache=cache,
                                 pool=pool, compiled=compiled, poly=poly,
-                                certified=certified, perturb=perturb,
-                                results_dir=results_dir)
+                                perturb=perturb, results_dir=results_dir)
             doc = res.doc()
             docs.append(doc)
             if write_json:

@@ -204,8 +204,8 @@ def exec_hierarchy_compiled(payload: dict) -> dict:
 
     Each leaf resolves through the compiled schedule cache under its
     own sub-cell identity — the ``yhccl``/``vendor`` cell that kind and
-    size would be — and replays bitwise.  ``poly`` / ``certified`` /
-    ``perturb`` flags are ignored for hierarchy cells: the leaves are
+    size would be — and replays bitwise.  ``poly`` / ``perturb``
+    flags are ignored for hierarchy cells: the leaves are
     exact replays already and the network stage is closed-form.
     """
     from repro.bench.cache import descriptor_key

@@ -8,23 +8,15 @@ parallel-vs-serial equality tests pin down.  Nothing time- or
 host-dependent (wall clock, cache hit counts, worker counts) goes into
 these files *as written by the suite*.
 
-Documented exceptions — all provenance, not results, and excluded from
-every determinism guarantee (:func:`summary_doc` output itself stays
-byte-stable):
-
-* the CLI front end appends an advisory ``wall_clock`` block to
-  ``BENCH_summary.json`` after a run, recording suite wall-clock per
-  engine mode (coroutine vs compiled), their ratio, and the capture
-  microbenchmark's headline numbers — the before/after evidence for
-  the compiled evaluator.  The block is keyed to the source version
-  and replaced wholesale when the tree changes; it persists in the
-  ``wall_clock.json`` sidecar between runs;
-* ``BENCH_compiled.json`` (schema ``repro-compiled-bench/1``,
-  :func:`repro.bench.compiled.run_capture_microbench`) is a wall-clock
-  sidecar end to end: capture cost vs the coroutine run and batched
-  vs looped replay throughput.  Its ``ops``, ``time`` and
-  ``bitwise_equal`` fields are deterministic; everything suffixed
-  ``_s`` is host wall clock.
+The one documented exception — provenance, not results, and excluded
+from every determinism guarantee (:func:`summary_doc` output itself
+stays byte-stable): the CLI front end appends an advisory
+``wall_clock`` block to ``BENCH_summary.json`` after a run, recording
+suite wall-clock per engine mode (coroutine vs compiled) and their
+ratio — the before/after evidence for the compiled evaluator.  The
+block is keyed to the source version and replaced wholesale when the
+tree changes; it persists in the ``wall_clock.json`` sidecar between
+runs.  Simulator wall-clock by layer lives in the ``perf/`` harness.
 
 Perturbation tail statistics (``--perturb``) are *not* an exception:
 ensembles are seeded per cell from the schedule identity, so the

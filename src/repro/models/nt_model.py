@@ -165,11 +165,11 @@ def decision_guards(kind: str, s: int, p: int, machine: MachineSpec, *,
     same **decision region**: the collective executes the same
     algorithm regime, the same slice structure, the same NT-store
     switch and the same cache-streaming regime, so one captured
-    compiled schedule can be *model re-timed* for the other size
-    (:meth:`repro.sim.compiled.CompiledSchedule.model_durations` with
-    scaled byte footprints) instead of recapturing.  A guard mismatch
-    keys a different schedule-cache entry, which is exactly the
-    automatic-recapture path.
+    compiled schedule can serve the other size once a region
+    certificate (:mod:`repro.analysis.static.symbolic`) proves the
+    shape over both.  A guard mismatch keys a different
+    schedule-cache entry, which is exactly the automatic-recapture
+    path.
 
     Guard atoms:
 

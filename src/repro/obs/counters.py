@@ -267,30 +267,3 @@ class Counters:
             "per_rank": per_rank,
         }
 
-
-def tail_snapshot(rank_times, *,
-                  percentiles: tuple = (50.0, 99.0, 99.9)) -> dict:
-    """JSON-safe tail summary of a batched-replay rank-time matrix.
-
-    ``rank_times`` is the ``(B, nranks)`` array a perturbation ensemble
-    produces (:class:`~repro.sim.compiled.BatchedTimes`); each row is
-    one replayed run.  Returns the per-rank percentile finish times plus
-    the run-level (max-over-ranks) percentiles, keyed ``"p50"`` style —
-    the same shape the bench tables embed for ``--perturb`` sweeps.
-    """
-    import numpy as np
-
-    rt = np.asarray(rank_times, dtype=float)
-    if rt.ndim != 2:
-        raise ValueError(f"rank_times must be 2-D (B, nranks), got {rt.shape}")
-    times = rt.max(axis=1) if rt.shape[1] else np.zeros(rt.shape[0])
-    labels = [("p%g" % p).replace(".", "_") for p in percentiles]
-    run_q = np.percentile(times, percentiles)
-    rank_q = np.percentile(rt, percentiles, axis=0)
-    return {
-        "n": int(rt.shape[0]),
-        "nranks": int(rt.shape[1]),
-        "time": {lab: float(v) for lab, v in zip(labels, run_q)},
-        "per_rank": {lab: [float(v) for v in row]
-                     for lab, row in zip(labels, rank_q)},
-    }

@@ -406,9 +406,8 @@ class CompiledSchedule:
         for what-if sweeps over machine constants without recapturing.
 
         ``nbytes`` substitutes alternative per-op byte footprints —
-        the size-polymorphic replay path passes the captured footprints
-        scaled to a different message size whose decision guards agree
-        (see :func:`repro.models.nt_model.decision_guards`).
+        the certified size-polymorphic replay path passes exact ones
+        through :func:`symbolic_durations`.
         """
         nb = self.nbytes if nbytes is None \
             else np.asarray(nbytes, dtype=np.int64)
@@ -430,14 +429,13 @@ def symbolic_durations(cs: "CompiledSchedule", machine,
                        nbytes) -> np.ndarray:
     """Model durations from *certified* symbolic per-op footprints.
 
-    The symbolic lowering hook of the certified poly path
-    (``bench --compiled --poly --certified``): ``nbytes`` is the exact
-    per-op byte vector a region certificate
+    The symbolic lowering hook of the size-polymorphic path
+    (``bench --compiled --poly``): ``nbytes`` is the exact per-op byte
+    vector a region certificate
     (:class:`repro.analysis.static.symbolic.SymbolicSchedule`) evaluated
-    at the replay size, in compiled (toposort) op order.  Unlike the
-    plain retiming path — which *scales* the captured footprints by
-    ``s_new / s_captured`` — these are engine-exact integers, so the
-    only remaining approximation is the duration model itself.
+    at the replay size, in compiled (toposort) op order.  These are
+    engine-exact integers, so the only approximation is the duration
+    model itself.
 
     Validates the vector against the captured schedule before use:
     shape match, non-negative entries, and an identical zero pattern

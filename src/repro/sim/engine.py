@@ -205,13 +205,6 @@ class RunResult:
     first_span: int = 0
 
     @property
-    def run_records(self) -> list:
-        """The OpRecords of this run alone (empty without tracing)."""
-        if self.trace is None:
-            return []
-        return self.trace.records[self.first_record:]
-
-    @property
     def run_spans(self) -> list:
         if self.trace is None:
             return []
@@ -221,10 +214,6 @@ class RunResult:
     def time(self) -> float:
         """Collective completion time: the slowest rank."""
         return max(self.times)
-
-    @property
-    def avg_time(self) -> float:
-        return sum(self.times) / len(self.times)
 
     @property
     def dav(self) -> int:

@@ -153,8 +153,8 @@ def sample_ensemble(cs: CompiledSchedule, n: int, *, seed: int,
     """Draw ``n`` perturbed input rows for ``cs`` under ``model``.
 
     ``dur`` substitutes base per-op durations to perturb around (the
-    size-polymorphic path passes model-retimed durations; default is
-    the captured ones)."""
+    size-polymorphic path passes certified model durations; default
+    is the captured ones)."""
     if n < 1:
         raise ValueError(f"ensemble size must be >= 1, got {n}")
     try:

@@ -139,6 +139,18 @@ class TestResultCache:
         cache.put(key, desc, {"time": 4.0})
         assert cache.get(key) == {"time": 4.0}
 
+    @pytest.mark.parametrize("entry", [[1, 2], {"key": "k"},
+                                       {"result": [1, 2]},
+                                       {"result": None}])
+    def test_malformed_entry_is_a_miss(self, tmp_path, entry):
+        cache = ResultCache(tmp_path / "cache")
+        key = descriptor_key({"cell": 5})
+        path = tmp_path / "cache" / key[:2] / f"{key}.json"
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps(entry))
+        assert cache.get(key) is None
+        assert (cache.hits, cache.misses) == (0, 1)
+
 
 class TestSweepThroughCache:
     def test_second_run_fully_cached(self, tmp_path, tiny_sweep):

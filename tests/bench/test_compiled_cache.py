@@ -39,6 +39,31 @@ def _cell(**over):
     return cell
 
 
+def _entry_path(results_dir, key):
+    return results_dir / "compiled" / key[:2] / f"{key}.json"
+
+
+def _truncate(path):
+    path.write_text(path.read_text()[:100])
+
+
+def _rewrite_result(fn):
+    def corrupt(path):
+        entry = json.loads(path.read_text())
+        entry["result"] = fn(entry["result"])
+        path.write_text(json.dumps(entry))
+    return corrupt
+
+
+#: corrupted on-disk cache entries every loader must treat as a miss
+CORRUPTIONS = {
+    "truncated": _truncate,
+    "non-dict": _rewrite_result(lambda doc: ["not", "a", "document"]),
+    "future-schema": _rewrite_result(
+        lambda doc: dict(doc, schema=doc["schema"].split("/")[0] + "/99")),
+}
+
+
 def _payload(results_dir=None, **over):
     payload = dict(_cell(**over), type="cell", compiled=True)
     if results_dir is not None:
@@ -131,6 +156,28 @@ class TestExecCompiledCell:
         repaired = json.loads(path.read_text())
         assert repaired["result"]["schema"] == "repro-compiled/1"
 
+    @pytest.mark.parametrize("corrupt", sorted(CORRUPTIONS))
+    def test_corrupt_schedule_entries_recaptured(self, tmp_path, corrupt,
+                                                 monkeypatch):
+        clean = exec_compiled_cell(_payload(tmp_path))
+        clean.pop("captured")
+        key = descriptor_key(schedule_descriptor(_cell()))
+        CORRUPTIONS[corrupt](_entry_path(tmp_path, key))
+        clear_schedule_memo()
+        captures = []
+        real = capture_schedule
+
+        def counting(*a, **kw):
+            captures.append(a)
+            return real(*a, **kw)
+
+        monkeypatch.setattr("repro.bench.compiled.capture_schedule",
+                            counting)
+        out = exec_compiled_cell(_payload(tmp_path))
+        assert len(captures) == 1
+        assert out.pop("captured") is True
+        assert out == clean
+
     def test_matches_coroutine_cell(self, tmp_path):
         from repro.bench.executor import exec_payload
 
@@ -140,6 +187,7 @@ class TestExecCompiledCell:
         assert out == ref
 
 
+KB = 1024
 MB = 1024 * 1024
 
 
@@ -152,6 +200,17 @@ def _poly_cell(nbytes, **over):
         runner=reduce_spec("socket-ma", "allreduce", "adaptive",
                            imax=4 * MB).describe(),
         **over)
+
+
+#: the lower end of the 8MB region's certified span (the p=8 NodeA
+#: region modulus is 1 KiB; the certificate's anchors sit ±64 KiB out)
+IN_SPAN = 8 * MB - 64 * KB
+
+
+def _poly_run(nbytes, results_dir):
+    return exec_compiled_cell(
+        dict(_poly_cell(nbytes), type="cell", compiled=True, poly=True,
+             results_dir=str(results_dir)))
 
 
 class TestSizePolymorphic:
@@ -185,18 +244,13 @@ class TestSizePolymorphic:
 
         monkeypatch.setattr("repro.bench.compiled.capture_schedule",
                             counting)
-        first = exec_compiled_cell(
-            dict(_poly_cell(8 * MB), type="cell", compiled=True,
-                 poly=True, results_dir=str(tmp_path)))
-        second = exec_compiled_cell(
-            dict(_poly_cell(12 * MB), type="cell", compiled=True,
-                 poly=True, results_dir=str(tmp_path)))
-        third = exec_compiled_cell(
-            dict(_poly_cell(16 * MB), type="cell", compiled=True,
-                 poly=True, results_dir=str(tmp_path)))
+        first = _poly_run(8 * MB, tmp_path)
+        second = _poly_run(IN_SPAN, tmp_path)
+        third = _poly_run(16 * MB, tmp_path)
         assert len(captures) == 2  # 8MB region + 16MB (NT flip) region
         assert first["poly"]["retimed"] is False
         assert second["poly"]["retimed"] is True
+        assert second["poly"]["certified"] is True
         assert third["poly"]["retimed"] is False
         assert first["poly"]["region"] == second["poly"]["region"]
         assert third["poly"]["region"] != first["poly"]["region"]
@@ -206,40 +260,78 @@ class TestSizePolymorphic:
 
         cell = _poly_cell(8 * MB)
         ref = exec_payload(dict(cell, type="cell"))
-        out = exec_compiled_cell(
-            dict(cell, type="cell", compiled=True, poly=True,
-                 results_dir=str(tmp_path)))
+        out = _poly_run(8 * MB, tmp_path)
         out.pop("captured", None)
         # the full content-addressed key, never a truncation (a
         # truncated key can collide across regions)
         assert out.pop("poly") == {
             "region": descriptor_key(schedule_descriptor(cell, poly=True)),
             "retimed": False,
+            "certified": True,
+            "cert": {"span": [8 * MB - 64 * KB, 8 * MB + 64 * KB],
+                     "in_span": True,
+                     "anchors": [8 * MB - 64 * KB, 8 * MB + 64 * KB],
+                     "dav": "41*s"},
         }
         assert out == ref
 
     def test_retimed_result_scales_dav(self, tmp_path):
-        a = exec_compiled_cell(
-            dict(_poly_cell(8 * MB), type="cell", compiled=True,
-                 poly=True, results_dir=str(tmp_path)))
-        b = exec_compiled_cell(
-            dict(_poly_cell(12 * MB), type="cell", compiled=True,
-                 poly=True, results_dir=str(tmp_path)))
+        from repro.bench.executor import exec_payload
+
+        _poly_run(8 * MB, tmp_path)
+        b = _poly_run(IN_SPAN, tmp_path)
         assert b["poly"]["retimed"] is True
-        assert b["dav"] == round(a["dav"] * 1.5)
+        assert b["poly"]["certified"] is True
+        # the certificate's affine DAV, not a size-ratio scaling
+        assert b["dav"] == exec_payload(
+            dict(_poly_cell(IN_SPAN), type="cell"))["dav"]
         assert b["time"] > 0
+
+    def test_out_of_span_size_replays_exactly(self, tmp_path):
+        # 12MB shares the 8MB decision region but lies outside its
+        # certified span: it replays its own exact capture (the engine's
+        # 2.22206 ms), never a size-scaled estimate (1.63524 ms)
+        from repro.bench.executor import exec_payload
+
+        ref = exec_payload(dict(_poly_cell(12 * MB), type="cell"))
+        _poly_run(8 * MB, tmp_path)
+        out = _poly_run(12 * MB, tmp_path)
+        assert out["poly"]["retimed"] is False
+        assert out["poly"]["certified"] is False
+        assert any("outside the certified span" in e
+                   for e in out["poly"]["cert_errors"])
+        out.pop("poly")
+        out.pop("captured")  # its own exact capture
+        assert out == ref
+        assert round(out["time"] * 1e3, 5) == 2.22206
+
+
+#: certificate-entry corruptions: the schedule loader's, plus a
+#: future-schema *negative* entry (``ok: false`` must not be trusted
+#: under a schema this build does not speak)
+CERT_CORRUPTIONS = dict(CORRUPTIONS, **{
+    "future-negative": _rewrite_result(lambda doc: {
+        "schema": "repro-symcert/99", "ok": False,
+        "errors": ["SA-SYM-FUTURE"]}),
+})
 
 
 class TestCertifiedPoly:
-    """``--compiled --poly --certified``: region certificates make
-    retimed cells engine-exact in DAV/footprints."""
+    """``--compiled --poly``: region certificates make retimed cells
+    engine-exact in DAV/footprints; anything they cannot certify
+    replays exactly."""
 
     KB = 1024
 
     def _cert_cell(self, nbytes, **over):
         # small sizes: certification captures five engine runs
         return dict(_cell(p=2, nbytes=nbytes), type="cell",
-                    compiled=True, poly=True, certified=True, **over)
+                    compiled=True, poly=True, **over)
+
+    def _coroutine(self, nbytes):
+        from repro.bench.executor import exec_payload
+
+        return exec_payload(dict(_cell(p=2, nbytes=nbytes), type="cell"))
 
     def test_retimed_cell_gets_engine_exact_dav(self, tmp_path):
         from repro.bench.executor import exec_payload
@@ -308,18 +400,25 @@ class TestCertifiedPoly:
             return None, report
 
         monkeypatch.setattr(symbolic, "certify_region", failing)
+        anchor = exec_compiled_cell(
+            self._cert_cell(8 * self.KB, results_dir=str(tmp_path)))
         out = exec_compiled_cell(
             self._cert_cell(7936, results_dir=str(tmp_path)))
-        assert out["poly"]["certified"] is False
-        assert out["poly"]["cert_errors"] == ["SA-SYM-SHAPE"]
-        assert out["time"] > 0  # fell back to plain retiming
+        for cell in (anchor, out):
+            assert cell["poly"]["certified"] is False
+            assert cell["poly"]["retimed"] is False
+            assert cell["poly"]["cert_errors"] == ["SA-SYM-SHAPE"]
+        # the refused non-anchor size replays its own exact capture
+        assert out.pop("captured") is True
+        out.pop("poly")
+        assert out == self._coroutine(7936)
 
     def test_outside_certified_span_refuses(self, tmp_path,
                                             monkeypatch):
         # affinity is only proven between the endpoint-checked anchors
         # (per-op shape can flip past them, e.g. at the non-temporal
-        # threshold), so a retime beyond the span must fall back to
-        # model retiming and say why — never extrapolate
+        # threshold), so a size beyond the span replays exactly and
+        # says why — never extrapolate
         import repro.bench.compiled as bc
 
         real = bc._load_certificate
@@ -335,18 +434,41 @@ class TestCertifiedPoly:
             self._cert_cell(8 * self.KB, results_dir=str(tmp_path)))
         out = exec_compiled_cell(
             self._cert_cell(7936, results_dir=str(tmp_path)))
-        assert out["poly"]["retimed"] is True
+        assert out["poly"]["retimed"] is False
         assert out["poly"]["certified"] is False
         assert any("outside the certified span" in e
                    for e in out["poly"]["cert_errors"])
-        assert out["time"] > 0
+        out.pop("poly")
+        out.pop("captured")
+        assert out == self._coroutine(7936)
 
-    def test_certified_results_key_separately(self):
-        cell = _cell()
-        assert descriptor_key(
-            cell_descriptor(cell, compiled=True, poly=True)) != \
-            descriptor_key(cell_descriptor(cell, compiled=True,
-                                           poly=True, certified=True))
+    @pytest.mark.parametrize("corrupt", sorted(CERT_CORRUPTIONS))
+    def test_corrupt_certificate_entries_recertified(self, tmp_path,
+                                                     corrupt, monkeypatch):
+        import repro.analysis.static.symbolic as symbolic
+        from repro.bench.compiled import cell_guards, certificate_descriptor
+
+        exec_compiled_cell(
+            self._cert_cell(8 * self.KB, results_dir=str(tmp_path)))
+        cell = self._cert_cell(7936, results_dir=str(tmp_path))
+        clean = exec_compiled_cell(cell)
+        key = descriptor_key(certificate_descriptor(cell, cell_guards(cell)))
+        CERT_CORRUPTIONS[corrupt](_entry_path(tmp_path, key))
+        clear_schedule_memo()
+        calls = []
+        real = symbolic.certify_region
+
+        def counting(*a, **kw):
+            calls.append(a)
+            return real(*a, **kw)
+
+        monkeypatch.setattr(symbolic, "certify_region", counting)
+        assert exec_compiled_cell(cell) == clean
+        assert len(calls) == 1, "a corrupt entry is a miss: re-certify"
+        # the re-certification repaired the entry on disk
+        clear_schedule_memo()
+        assert exec_compiled_cell(cell) == clean
+        assert len(calls) == 1
 
 
 class TestScheduleMemo:
