@@ -25,12 +25,6 @@ Commands
 ``info``
     Print the machine presets and registered algorithms.
 
-``analyze <collective>``
-    Happens-before schedule analysis: trace a collective and check for
-    data races, deadlocks, schedule lints and DAV regressions (see
-    ``docs/analysis.md``).  ``analyze all`` sweeps the whole matrix;
-    exits non-zero when any check fails.
-
 ``verify <collective>``
     Exhaustive schedule verification: DPOR model checking of every
     Mazurkiewicz-distinct interleaving at small rank counts, plus an
@@ -48,13 +42,13 @@ Commands
     ``docs/compiled.md``).
 
 ``lint <collective>|all``
-    Static schedule analysis: extract each registered schedule into an
-    op-dependency IR (one traced run at small p) and run the pass
-    pipeline — deadlock freedom, Theorem 3.1 DAV, buffer lints, NUMA /
-    false-sharing placement, critical-path bound (see
-    ``docs/static_analysis.md``).  Exits non-zero on error-severity
-    findings; ``--json`` shares the Finding format with ``analyze
-    --json``.
+    Schedule analysis: extract each registered schedule into an
+    op-dependency IR (one traced run) and run the pass pipeline —
+    races, deadlock freedom and sync hygiene, Theorem 3.1 DAV,
+    uninitialized reads, NUMA / false-sharing placement, critical-path
+    bound (see ``docs/analysis.md`` and ``docs/static_analysis.md``).
+    ``lint all`` sweeps the whole matrix; exits non-zero on
+    error-severity findings; ``--json`` emits ``repro-lint/1``.
 """
 
 from __future__ import annotations
@@ -101,24 +95,6 @@ def main(argv=None) -> int:
     _add_common(cmp_p)
 
     sub.add_parser("info", help="presets and algorithm registry")
-
-    ana = sub.add_parser(
-        "analyze", help="happens-before race/deadlock/DAV analysis"
-    )
-    ana.add_argument("collective",
-                     help="matrix name (see 'info') or 'all'")
-    ana.add_argument("-n", "--nranks", type=int, default=8)
-    ana.add_argument("-s", "--size", type=int, default=4096,
-                     help="message size in bytes (default 4096)")
-    ana.add_argument("--machine", default="none",
-                     choices=["none", "both"] + sorted(PRESETS),
-                     help="machine preset, 'both' for NodeA+NodeB, "
-                          "'none' for pure functional (default)")
-    ana.add_argument("--schedule-seed", type=int, default=None,
-                     help="randomize the engine schedule")
-    ana.add_argument("--json", action="store_true",
-                     help="machine-readable findings on stdout "
-                          "(schema repro-analyze/1; progress on stderr)")
 
     ver = sub.add_parser(
         "verify", help="DPOR exhaustive interleaving verification"
@@ -193,54 +169,6 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         return 0
-
-    if args.command == "analyze":
-        from repro.analysis.runner import analyze_collective, render_results
-        from repro.analysis.static.report import (
-            findings_from_analysis,
-            findings_to_json,
-        )
-
-        if args.machine == "none":
-            machines = [None]
-        elif args.machine == "both":
-            machines = [PRESETS["NodeA"], PRESETS["NodeB"]]
-        else:
-            machines = [PRESETS[args.machine]]
-        failed = False
-        json_cases = []
-        for mach in machines:
-            label = mach.name if mach is not None else "functional"
-            out = sys.stderr if args.json else sys.stdout
-            print(f"== {label} (p={args.nranks}, s={args.size}) ==",
-                  file=out)
-            try:
-                results = analyze_collective(
-                    args.collective, machine=mach, nranks=args.nranks,
-                    s=args.size, schedule_seed=args.schedule_seed,
-                )
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            print(render_results(results), file=out)
-            failed = failed or any(not r.ok for r in results)
-            for res in results:
-                json_cases.append({
-                    "case": res.case.label,
-                    "machine": label,
-                    "ok": res.ok,
-                    "findings": [f.to_dict()
-                                 for f in findings_from_analysis(res)],
-                })
-        if args.json:
-            print(findings_to_json({
-                "schema": "repro-analyze/1",
-                "nranks": args.nranks,
-                "s": args.size,
-                "cases": json_cases,
-                "ok": not failed,
-            }, indent=2))
-        return 1 if failed else 0
 
     if args.command == "verify":
         from pathlib import Path

@@ -1,123 +1,21 @@
-"""Happens-before schedule analysis for collective traces.
+"""Schedule analysis for collective traces.
 
 The fuzzing tests show a collective is schedule-*invariant* — same
 result under many interleavings.  This package proves the stronger
-property for one traced run: no two conflicting buffer accesses are
-unordered under the happens-before relation the schedule's post/wait
-and barrier structure induces, no rank can block forever, and the data
-volume moved matches the paper's Theorem 3.1 accounting.
+properties over one representation, the ``repro-ir/1`` op-dependency
+DAG: no two conflicting buffer accesses are unordered under the
+happens-before relation the schedule's post/wait and barrier structure
+induces, no rank can block forever, and the data volume moved matches
+the paper's Theorem 3.1 accounting.
 
-Entry points:
-
-* :func:`analyze_trace` — run all checks over an event-traced run;
-* :func:`repro.analysis.runner.analyze_collective` — build, run and
-  analyze a registered collective (the ``python -m repro analyze``
-  backend).
+* :mod:`repro.analysis.runner` — the matrix of registered collectives
+  every analysis front end shares;
+* :mod:`repro.analysis.static` — lifts one traced run into the IR
+  (:func:`~repro.analysis.static.extract.ir_from_trace`) and runs the
+  pass pipeline (the ``python -m repro lint`` backend);
+* :mod:`repro.analysis.mc` — DPOR model checking of every
+  interleaving, judging each terminal state with the same passes (the
+  ``python -m repro verify`` backend).
 
 See ``docs/analysis.md`` for the formal model and report format.
 """
-
-from __future__ import annotations
-
-from dataclasses import dataclass, field
-from typing import List, Optional
-
-from repro.analysis.dav import DavCheck, check_dav, predicted_dav, traced_dav
-from repro.analysis.hb import (
-    MAX_REPORTED_RACES,
-    Race,
-    RaceList,
-    StampedAccess,
-    find_races,
-    race_check,
-    stamp_accesses,
-)
-from repro.analysis.schedule import ScheduleIssue, lint_schedule
-from repro.sim.trace import Trace
-
-__all__ = [
-    "AnalysisReport",
-    "analyze_trace",
-    "Race",
-    "RaceList",
-    "StampedAccess",
-    "ScheduleIssue",
-    "DavCheck",
-    "MAX_REPORTED_RACES",
-    "stamp_accesses",
-    "find_races",
-    "race_check",
-    "lint_schedule",
-    "check_dav",
-    "predicted_dav",
-    "traced_dav",
-]
-
-
-@dataclass
-class AnalysisReport:
-    """Combined verdict of every check over one trace."""
-
-    nranks: int
-    races: List[Race] = field(default_factory=list)
-    total_races: int = 0
-    #: exact per-kind tallies over *all* races, not just the reported
-    #: ones — ``{"write-write": n, "read-write": m}``
-    race_kinds: dict = field(default_factory=dict)
-    issues: List[ScheduleIssue] = field(default_factory=list)
-    dav: Optional[DavCheck] = None
-
-    @property
-    def deadlocks(self) -> List[ScheduleIssue]:
-        return [i for i in self.issues if i.kind == "deadlock"]
-
-    @property
-    def ok(self) -> bool:
-        return (not self.total_races and not self.issues
-                and (self.dav is None or self.dav.ok))
-
-    def describe(self) -> str:
-        lines: List[str] = []
-        if self.total_races:
-            kinds = self.race_kinds or {}
-            if not kinds:
-                for r in self.races:
-                    kinds[r.kind] = kinds.get(r.kind, 0) + 1
-            detail = ", ".join(f"{n} {k}" for k, n in sorted(kinds.items()))
-            lines.append(f"{self.total_races} race(s) ({detail}):")
-            lines += [f"  - {r.describe()}" for r in self.races]
-            hidden = self.total_races - len(self.races)
-            if hidden > 0:
-                lines.append(f"  ... and {hidden} more race(s) not shown "
-                             f"(all {self.total_races} counted; raise "
-                             f"max_reports to list them)")
-        if self.issues:
-            lines.append(f"{len(self.issues)} schedule issue(s):")
-            lines += [f"  - {i.describe()}" for i in self.issues]
-        if self.dav is not None:
-            lines.append(self.dav.describe())
-        if not lines:
-            lines.append("no races, no deadlocks, no schedule issues")
-        return "\n".join(lines)
-
-
-def analyze_trace(trace: Trace, nranks: int, *,
-                  dav_kind: Optional[str] = None,
-                  dav_algorithm: str = "",
-                  s: int = 0, m: int = 2, k: int = 2,
-                  max_reports: int = MAX_REPORTED_RACES) -> AnalysisReport:
-    """Run race detection, schedule lints and (optionally) the DAV
-    cross-check over an event-traced run.
-
-    The trace must come from an ``Engine(..., trace=True)`` run; pass
-    ``dav_kind``/``dav_algorithm``/``s`` to also verify the moved bytes
-    against the Theorem 3.1 formula for that collective.
-    """
-    races, total = race_check(trace, nranks, max_reports=max_reports)
-    issues = lint_schedule(trace, nranks, races=races)
-    dav = None
-    if dav_kind is not None:
-        dav = check_dav(trace, dav_kind, dav_algorithm, s, nranks, m=m, k=k)
-    return AnalysisReport(nranks=nranks, races=races, total_races=total,
-                          race_kinds=dict(getattr(races, "kind_totals", {})),
-                          issues=issues, dav=dav)

@@ -1,12 +1,13 @@
 """Stateless model checking of collective schedules (DPOR).
 
-PR 1's happens-before analyzer certifies the *one* interleaving the
-cooperative engine executed.  This package closes the gap: it re-runs
-a collective under a controlled scheduler and explores every
-Mazurkiewicz-distinct interleaving (sleep-set + persistent-set dynamic
-partial-order reduction), checking functional output equality, race
-freedom, the DAV invariant and deadlock/sanitizer cleanliness at each
-terminal state.  Failures are minimized to replayable
+The lint passes (:mod:`repro.analysis.static`) judge the schedule
+lifted from the *one* interleaving the cooperative engine executed.
+This package closes the gap: it re-runs a collective under a
+controlled scheduler and explores every Mazurkiewicz-distinct
+interleaving (sleep-set + persistent-set dynamic partial-order
+reduction), checking functional output equality, race freedom, the
+DAV invariant and deadlock/sanitizer cleanliness at each terminal
+state.  Failures are minimized to replayable
 :class:`~repro.sim.replay.ScheduleCertificate` witnesses.
 
 Entry points: :func:`verify_collective` (the ``python -m repro verify``

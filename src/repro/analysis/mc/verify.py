@@ -8,10 +8,12 @@ terminal state check
 * **functional output** — the runner's numpy-oracle assertion, plus
   byte equality of *every* engine buffer (scratch and shm included)
   against the first clean execution;
-* **freedom from races** — the PR 1 happens-before check, re-run on
-  the explored schedule's trace;
-* **the DAV invariant** — ``traced_dav`` must be schedule-invariant
-  (Theorem 3.1 accounting does not depend on interleaving);
+* **freedom from races** — the explored schedule's trace is lifted
+  into the schedule IR and scanned for unordered conflicting accesses
+  by the same scan the static buffer pass runs;
+* **the DAV invariant** — the IR's Theorem 3.1 volume must be
+  schedule-invariant (the accounting does not depend on
+  interleaving);
 * **no deadlock / sanitizer violation / engine error** anywhere.
 
 The first failing schedule is *minimized* — binary search for the
@@ -25,10 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
-from repro.analysis.hb import race_check
-from repro.analysis.dav import traced_dav
 from repro.analysis.mc.dpor import Explorer
 from repro.analysis.runner import Case, cases
+from repro.analysis.static.extract import ir_from_trace
+from repro.analysis.static.passes import BufferPass
 from repro.sim.buffers import SanitizerError
 from repro.sim.engine import DeadlockError, Engine
 from repro.sim.replay import ScheduleCertificate
@@ -68,7 +70,7 @@ class _Executor:
         self.seed = seed
         self.sanitize = sanitize
         self.last: Optional[Execution] = None
-        #: first clean execution: (buffer snapshot, traced dav)
+        #: first clean execution: (buffer snapshot, DAV)
         self.baseline: Optional[Tuple[Snapshot, float]] = None
 
     def __call__(self, choices: List[int]) -> List[StepRecord]:
@@ -107,18 +109,20 @@ class _Executor:
         """The first failed check of a completed execution, if any."""
         if exe.failure is not None:
             return exe.failure
-        races, total = race_check(exe.engine.trace, self.nranks)
-        if total:
-            first = races[0].describe() if races else ""
-            return ("race", f"{total} race(s) under this schedule; {first}")
-        dav = traced_dav(exe.engine.trace)
+        ir = ir_from_trace(exe.engine.trace, buffers=exe.engine.buffers)
+        overlaps, races = BufferPass().conflicts(ir)
+        unordered = overlaps + races
+        if unordered:
+            return ("race", f"{len(unordered)} race(s) under this "
+                            f"schedule; {unordered[0].message}")
+        dav = ir.static_dav()
         if self.baseline is None:
             self.baseline = (exe.snapshot, dav)
             return None
         base_snap, base_dav = self.baseline
         if dav != base_dav:
             return ("dav",
-                    f"traced DAV {dav:.0f} differs from canonical "
+                    f"DAV {dav:.0f} differs from canonical "
                     f"{base_dav:.0f} — data volume is schedule-dependent")
         if set(exe.snapshot) != set(base_snap):
             odd = set(exe.snapshot) ^ set(base_snap)

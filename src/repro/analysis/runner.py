@@ -1,19 +1,18 @@
-"""Build, run and analyze registered collectives.
+"""The analysis matrix: every registered collective as a runnable case.
 
-The matrix below mirrors the fuzz targets: every algorithm family the
-package implements, each exercised through an event-traced functional
-run and handed to :func:`repro.analysis.analyze_trace`.  A clean matrix
-means every schedule is race-free, deadlock-free and moves exactly the
-bytes its Theorem 3.1 row predicts — the backend of
-``python -m repro analyze``.
+The matrix mirrors the fuzz targets: every algorithm family the
+package implements, each with the Theorem 3.1 row that models it.
+``lint`` lifts each case into a schedule IR, ``verify`` model-checks
+it and ``trace`` exports one run of it; a clean matrix means every
+schedule is race-free, deadlock-free and moves exactly the bytes its
+row predicts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List
 
-from repro.analysis import AnalysisReport, analyze_trace
 from repro.collectives.allgather import PIPELINED_ALLGATHER
 from repro.collectives.bcast import PIPELINED_BCAST
 from repro.collectives.common import (
@@ -25,8 +24,7 @@ from repro.collectives.common import (
 from repro.collectives.ordered import ORDERED_ALLREDUCE, ORDERED_REDUCE
 from repro.collectives.vector import run_allgather_v, run_reduce_scatter_v
 from repro.library.mpi import ALGORITHMS
-from repro.machine.spec import MachineSpec
-from repro.sim.engine import DeadlockError, Engine
+from repro.sim.engine import Engine
 
 
 @dataclass(frozen=True)
@@ -45,21 +43,6 @@ class Case:
     @property
     def label(self) -> str:
         return f"{self.collective}/{self.kind}"
-
-
-@dataclass
-class CaseResult:
-    """A case's analysis outcome (``error`` captures engine crashes
-    other than deadlocks, which the lints report as certificates)."""
-
-    case: Case
-    report: AnalysisReport
-    deadlocked: bool = False
-    error: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.report.ok and not self.deadlocked and not self.error
 
 
 def _reduce_runner(alg) -> Callable[[Engine, int], None]:
@@ -84,10 +67,9 @@ def _cases() -> List[Case]:
         collective = name.replace("socket-ma", "socket_aware")
         if name == "pipelined":
             continue  # bcast/allgather get explicit cases below
-        dav_name = "dpml" if name == "dpml2" else name
         for kind, alg in kinds.items():
             k = int(getattr(alg, "branch", 2))
-            cases.append(Case(collective, kind, dav_name,
+            cases.append(Case(collective, kind, name,
                               _reduce_runner(alg), k=k,
                               locality=str(getattr(alg, "locality", ""))))
     cases.append(Case("bcast", "bcast", "", lambda eng, s:
@@ -111,8 +93,8 @@ def _cases() -> List[Case]:
 def cases(name: str = "all") -> List[Case]:
     """The analysis matrix, filtered to collective ``name`` (or all).
 
-    Shared with :mod:`repro.analysis.mc` so ``verify`` explores exactly
-    the programs ``analyze`` certifies.
+    Shared by ``lint``, ``verify`` and ``trace``, so the model checker
+    explores exactly the programs the static passes certify.
     """
     matched = [c for c in _cases() if name == "all" or c.collective == name]
     if not matched:
@@ -123,56 +105,5 @@ def cases(name: str = "all") -> List[Case]:
 
 
 def collectives() -> List[str]:
-    """Matrix names accepted by :func:`analyze_collective`."""
+    """Matrix names accepted by :func:`cases`."""
     return sorted({c.collective for c in _cases()})
-
-
-def analyze_collective(name: str, *, machine: Optional[MachineSpec] = None,
-                       nranks: int = 8, s: int = 4096,
-                       schedule_seed: Optional[int] = None
-                       ) -> List[CaseResult]:
-    """Trace and analyze every kind of collective ``name``
-    (or all collectives for ``name == "all"``)."""
-    results = []
-    for case in cases(name):
-        results.append(_analyze_case(case, machine=machine, nranks=nranks,
-                                     s=s, schedule_seed=schedule_seed))
-    return results
-
-
-def _analyze_case(case: Case, *, machine: Optional[MachineSpec],
-                  nranks: int, s: int,
-                  schedule_seed: Optional[int]) -> CaseResult:
-    eng = Engine(nranks, machine=machine, functional=True, trace=True,
-                 schedule_seed=schedule_seed)
-    deadlocked = False
-    error = ""
-    try:
-        case.run(eng, s)
-    except DeadlockError:
-        deadlocked = True  # certificates are in the trace's blocked events
-    except Exception as exc:  # pragma: no cover - defensive
-        error = f"{type(exc).__name__}: {exc}"
-    m = machine.sockets if machine is not None else 2
-    report = analyze_trace(
-        eng.trace, nranks,
-        dav_kind=case.kind, dav_algorithm=case.dav_algorithm,
-        s=s, m=m, k=case.k,
-    )
-    return CaseResult(case=case, report=report, deadlocked=deadlocked,
-                      error=error)
-
-
-def render_results(results: List[CaseResult]) -> str:
-    """Human-readable multi-case report for the CLI."""
-    lines = []
-    for res in results:
-        status = "OK" if res.ok else "FAIL"
-        lines.append(f"[{status}] {res.case.label}")
-        if res.error:
-            lines.append(f"  engine error: {res.error}")
-        body = res.report.describe()
-        lines += [f"  {ln}" for ln in body.splitlines()]
-    bad = sum(1 for r in results if not r.ok)
-    lines.append(f"{len(results)} case(s) analyzed, {bad} failing")
-    return "\n".join(lines)

@@ -1,14 +1,14 @@
 """Static schedule analysis: a pass pipeline over the op-dependency IR.
 
-The dynamic tooling in :mod:`repro.analysis` (vector-clock races, DAV
-checks), :mod:`repro.analysis.mc` (exhaustive schedule exploration)
-and :mod:`repro.sim.buffers` (shadow-memory sanitizer) all judge
-*executions*.  This package judges the *schedule*: one traced run at
-small ``p`` lifts a collective into a static DAG
-(:class:`~repro.analysis.static.ir.ScheduleIR`), and every verdict
-after that — deadlock freedom, Theorem 3.1 byte accounting, buffer
-races and uninitialized reads, NUMA placement, the critical-path time
-bound — is computed from graph structure alone.
+:mod:`repro.analysis.mc` (exhaustive schedule exploration) and
+:mod:`repro.sim.buffers` (shadow-memory sanitizer) judge *executions*.
+This package judges the *schedule*: one traced run lifts a collective
+into a static DAG (:class:`~repro.analysis.static.ir.ScheduleIR`), and
+every verdict after that — deadlock freedom, Theorem 3.1 byte
+accounting, buffer races and uninitialized reads, NUMA placement, the
+critical-path time bound — is computed from graph structure alone.  It
+is the only analyzer: ``verify`` judges each explored schedule's races
+and DAV by lifting its terminal trace into the same IR.
 
 CLI: ``python -m repro lint <collective>|all [--json] [--ir-out DIR]``;
 library: :meth:`repro.library.yhccl.YHCCL.lint`.
@@ -57,7 +57,6 @@ from repro.analysis.static.report import (
     SEVERITIES,
     Finding,
     Report,
-    findings_from_analysis,
     findings_to_json,
 )
 from repro.analysis.static.symbolic import (
@@ -112,7 +111,6 @@ __all__ = [
     "extract_collective",
     "extract_from_certificate",
     "extract_program",
-    "findings_from_analysis",
     "findings_to_json",
     "ir_from_json",
     "ir_from_trace",

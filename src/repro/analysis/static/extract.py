@@ -26,6 +26,12 @@ the footprint the static passes need.  Instead every buffer's
 :class:`~repro.analysis.static.ir.BufferInfo`, and the uninit-read
 pass re-derives the verdict from reachability.
 
+The lift refuses traces it cannot represent faithfully rather than
+dropping happens-before edges: a wait whose matched post is missing
+(a truncated trace) and a trace holding more than one engine run
+(slice one out with :meth:`~repro.sim.trace.Trace.slice_last_run`)
+both raise :class:`ValueError`.
+
 Entry points: :func:`extract_case` (one analysis-matrix case),
 :func:`extract_program` (an ad-hoc engine program, e.g. the seeded-bug
 fixtures), :func:`extract_from_certificate` (replays a
@@ -113,7 +119,8 @@ def ir_from_trace(trace: Trace, *, buffers: Sequence = (),
     """Lift one traced run into a :class:`ScheduleIR`.
 
     ``trace`` must cover a *single* engine run (the extraction helpers
-    always build a fresh engine); ``buffers`` is the engine's buffer
+    always build a fresh engine; more than one ``run_start`` marker is
+    refused); ``buffers`` is the engine's buffer
     list — buffers only seen in access events get stub entries sized to
     the largest access, marked initialized (no false uninit findings on
     hand-built traces).
@@ -126,6 +133,7 @@ def ir_from_trace(trace: Trace, *, buffers: Sequence = (),
     wait_events: List[SyncEvent] = []
     barrier_events: List[SyncEvent] = []
     blocked_events: List[SyncEvent] = []
+    runs = 0
     for ev in trace.events:
         if isinstance(ev, AccessEvent):
             if ev.buf_id not in buf_index:
@@ -153,7 +161,13 @@ def ir_from_trace(trace: Trace, *, buffers: Sequence = (),
                 barrier_events.append(ev)
             elif ev.kind == "blocked":
                 blocked_events.append(ev)
-            # run_start: a fresh engine's single run needs no separator
+            elif ev.kind == "run_start":
+                runs += 1
+    if runs > 1:
+        raise ValueError(
+            f"trace holds {runs} engine runs but the IR lifts a single "
+            "run: slice one out with Trace.slice_last_run"
+        )
 
     ir = ScheduleIR(meta=meta, buffers=buf_infos)
     last_node: Dict[int, int] = {}
@@ -222,8 +236,13 @@ def ir_from_trace(trace: Trace, *, buffers: Sequence = (),
             _chain(rec.rank, nid)
             for seq in ev.matched:
                 src = node_of_post_seq.get(seq)
-                if src is not None:
-                    ir.add_edge(src, nid, "sync")
+                if src is None:
+                    raise ValueError(
+                        f"trace is inconsistent: rank {rec.rank} "
+                        f"wait({rec.tag!r}) matched post event #{seq}, "
+                        "which is not in the trace (truncated trace?)"
+                    )
+                ir.add_edge(src, nid, "sync")
         else:
             nid = _new(OpNode(
                 node=len(ir.nodes), rank=rec.rank, kind=rec.kind,
@@ -291,16 +310,11 @@ def _lift_run(run_fn: Callable[[Engine], None], *, nranks: int,
     return ir_from_trace(eng.trace, buffers=eng.buffers, meta=meta)
 
 
-def extract_case(case: Case, *, nranks: int = DEFAULT_NRANKS,
-                 s: int = DEFAULT_S,
-                 machine: MachineArg = "NodeA",
-                 seed: int = 12345) -> ScheduleIR:
-    """Lift one analysis-matrix case (default machine: NodeA, so the
-    locality and critical-path passes have a topology to reason with —
-    the byte-exact passes are machine-independent; ``machine=None``
-    lifts without one)."""
-    machine = _resolve_machine(machine)
-    meta = {
+def case_meta(case: Case, *, s: int,
+              machine: Optional[MachineSpec]) -> dict:
+    """The IR meta naming a matrix case: its label, its Theorem 3.1
+    row and the parameters the DAV and locality passes read."""
+    return {
         "label": case.label,
         "collective": case.collective,
         "kind": case.kind,
@@ -310,6 +324,18 @@ def extract_case(case: Case, *, nranks: int = DEFAULT_NRANKS,
         "m": machine.sockets if machine is not None else 2,
         "k": case.k,
     }
+
+
+def extract_case(case: Case, *, nranks: int = DEFAULT_NRANKS,
+                 s: int = DEFAULT_S,
+                 machine: MachineArg = "NodeA",
+                 seed: int = 12345) -> ScheduleIR:
+    """Lift one analysis-matrix case (default machine: NodeA, so the
+    locality and critical-path passes have a topology to reason with —
+    the byte-exact passes are machine-independent; ``machine=None``
+    lifts without one)."""
+    machine = _resolve_machine(machine)
+    meta = case_meta(case, s=s, machine=machine)
     return _lift_run(lambda eng: case.run(eng, s), nranks=nranks,
                      machine=machine, seed=seed, meta=meta)
 
@@ -319,7 +345,7 @@ def extract_collective(name: str, *, nranks: int = DEFAULT_NRANKS,
                        machine: MachineArg = "NodeA",
                        seed: int = 12345) -> List[ScheduleIR]:
     """Lift every kind of collective ``name`` (or all, matching the
-    ``analyze``/``verify`` matrix)."""
+    ``verify`` matrix)."""
     return [extract_case(c, nranks=nranks, s=s, machine=machine, seed=seed)
             for c in cases(name)]
 
@@ -367,18 +393,9 @@ def extract_from_certificate(cert: ScheduleCertificate) -> ScheduleIR:
             f"certificate names unknown case {cert.collective}/{cert.kind}"
         )
     case = matched[0]
-    meta = {
-        "label": case.label,
-        "collective": case.collective,
-        "kind": case.kind,
-        "dav_algorithm": case.dav_algorithm,
-        "locality": case.locality,
-        "s": cert.s,
-        "m": 2,
-        "k": case.k,
-        "certificate": {"failure": cert.failure, "detail": cert.detail,
-                        "choices": list(cert.choices)},
-    }
+    meta = case_meta(case, s=cert.s, machine=None)
+    meta["certificate"] = {"failure": cert.failure, "detail": cert.detail,
+                           "choices": list(cert.choices)}
     sched = ControlledScheduler(choices=list(cert.choices))
     return _lift_run(lambda eng: case.run(eng, cert.s), nranks=cert.nranks,
                      machine=None, seed=cert.seed, meta=meta,

@@ -345,8 +345,8 @@ class ScheduleIR:
 
     def static_dav(self) -> float:
         """Theorem 3.1 accounting over the DAG: ``2n`` bytes per copy,
-        ``3n`` per reduce — byte-identical to
-        :func:`repro.analysis.dav.traced_dav` on the source trace."""
+        ``3n`` per reduce — byte-identical to the obs counters'
+        ``trace_dav`` on the source trace."""
         total = 0.0
         for n in self.nodes:
             if n.kind == "copy":

@@ -1,11 +1,10 @@
 """Lint driver: extract every registered case and run the passes.
 
-The dynamic analyzer (``python -m repro analyze``) judges what one
-execution *did*; the lint driver judges what every execution of the
-schedule *could do*, from a single extraction run per case.  Each
-registered algorithm variant is lifted to a schedule IR once (at the
-requested ``nranks``/``s`` on the requested machine) and the full pass
-pipeline runs over the DAG — no further execution happens.
+The lint driver judges what every execution of a schedule *could do*
+from a single extraction run per case.  Each registered algorithm
+variant is lifted to a schedule IR once (at the requested
+``nranks``/``s`` on the requested machine) and the full pass pipeline
+runs over the DAG — no further execution happens.
 """
 
 from __future__ import annotations
@@ -75,8 +74,7 @@ def lint_all(*, nranks: int = DEFAULT_NRANKS, s: int = DEFAULT_S,
 
 
 def render_reports(reports: Sequence[Report]) -> str:
-    """Human-readable multi-case summary (mirrors
-    :func:`repro.analysis.runner.render_results`)."""
+    """Human-readable multi-case summary."""
     lines = []
     for report in reports:
         counts = report.counts()

@@ -9,8 +9,9 @@ execute anything.  The default pipeline (:data:`DEFAULT_PASSES`):
   recorded; the error string is the finding).
 * :class:`DeadlockPass` — dependency cycles, unsatisfiable pending
   waits (fewer posts of the tag exist in the whole schedule than the
-  wait requires) and incomplete barriers.  The static mirror of the
-  engine's deadlock diagnosis and the DPOR checker's verdict.
+  wait requires), incomplete and mismatched barriers, and recycled
+  flag tags.  The static mirror of the engine's deadlock diagnosis and
+  the DPOR checker's verdict.
 * :class:`StaticDavPass` — Theorem 3.1 data-access volume summed over
   the DAG, pinned byte-exactly against the closed-form row in
   :mod:`repro.models.dav` *and* against the extraction run's obs
@@ -35,12 +36,13 @@ execute anything.  The default pipeline (:data:`DEFAULT_PASSES`):
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.dav import REL_TOL, predicted_dav
 from repro.analysis.static.ir import IRValidationError, ScheduleIR
 from repro.analysis.static.report import Finding, Report
 from repro.machine.spec import socket_of_rank_meta
+from repro.models.dav import REL_TOL, predicted_dav
 from repro.models.timing import static_op_time
 
 #: flag a schedule when more than this fraction of its accessed bytes
@@ -137,7 +139,7 @@ class DeadlockPass(Pass):
 
     name = "deadlock"
     codes = ("SA-DL-CYCLE", "SA-DL-UNSAT", "SA-DL-BARRIER",
-             "SA-DL-BLOCKED")
+             "SA-DL-BARRIER-MISMATCH", "SA-DL-BLOCKED", "SA-DL-TAG-REUSE")
 
     def run(self, ir: ScheduleIR) -> List[Finding]:
         out: List[Finding] = []
@@ -188,12 +190,67 @@ class DeadlockPass(Pass):
                     data={"arrived": list(n.arrived),
                           "missing": list(missing)},
                 ))
+        out += self._barrier_mismatches(ir)
         if ir.meta.get("deadlocked") and not out:
             out.append(self._finding(
                 ir, "SA-DL-UNSAT", "error",
                 "the extraction run deadlocked but left no pending sync "
                 "nodes — truncated trace?",
             ))
+        if cycle is None:
+            out += _cap(self._tag_reuse(ir), self, ir, "SA-DL-TAG-REUSE")
+        return out
+
+    def _barrier_mismatches(self, ir: ScheduleIR) -> List[Finding]:
+        """Pending barriers whose groups overlap without being equal:
+        two ranks each rendezvous with a group containing the other,
+        but they named different groups — the split-barrier bug."""
+        pending = [n for n in ir.nodes if n.pending and n.kind == "barrier"]
+        out = []
+        for i, a in enumerate(pending):
+            for b in pending[i + 1:]:
+                ga, gb = set(a.group), set(b.group)
+                if ga != gb and ga & gb:
+                    out.append(self._finding(
+                        ir, "SA-DL-BARRIER-MISMATCH", "error",
+                        f"rank {a.rank} is in barrier{a.group} while "
+                        f"rank {b.rank} is in barrier{b.group}: the "
+                        f"groups overlap on ranks "
+                        f"{tuple(sorted(ga & gb))} but are not equal",
+                        nodes=(a.node, b.node),
+                    ))
+        return out
+
+    def _tag_reuse(self, ir: ScheduleIR) -> List[Finding]:
+        """A post of tag ``T`` ordered after a released wait on ``T``.
+
+        Waits do not consume posts, so a recycled tag cannot tell fresh
+        posts from stale ones: a later ``wait(T, n)`` may release on a
+        previous step's posts before its real dependency ran.  One
+        finding per tag."""
+        waits: Dict[object, List[int]] = {}
+        for n in ir.nodes:
+            if n.kind == "wait" and not n.pending:
+                waits.setdefault(n.tag, []).append(n.node)
+        out: List[Finding] = []
+        reported: set = set()
+        for n in ir.nodes:
+            if n.kind != "post" or n.tag not in waits \
+                    or n.tag in reported:
+                continue
+            anc = ir.ancestors()[n.node]
+            for w in waits[n.tag]:
+                if anc >> w & 1:
+                    reported.add(n.tag)
+                    out.append(self._finding(
+                        ir, "SA-DL-TAG-REUSE", "warning",
+                        f"rank {n.rank} posts {n.tag!r} after "
+                        f"{ir.nodes[w].describe()} was already released; "
+                        "stale posts can satisfy later waits — make the "
+                        "tag unique per step",
+                        nodes=(w, n.node),
+                    ))
+                    break
         return out
 
 
@@ -304,6 +361,21 @@ def _node_accesses(ir: ScheduleIR) -> Dict[int, List[_Access]]:
     return per_buf
 
 
+def _interval_buckets(accesses: Sequence[_Access]
+                      ) -> Tuple[List[int], List[List[_Access]]]:
+    """Cut a buffer at every access boundary into elementary
+    intervals: bucket ``i`` lists, in input order, the accesses that
+    span ``[bounds[i], bounds[i + 1])``.  Two accesses share bytes iff
+    they share a bucket, so scans compare only overlapping pairs."""
+    bounds = sorted({b for a in accesses for b in (a[3], a[4])})
+    index = {b: i for i, b in enumerate(bounds)}
+    buckets: List[List[_Access]] = [[] for _ in bounds[1:]]
+    for a in accesses:
+        for i in range(index[a[3]], index[a[4]]):
+            buckets[i].append(a)
+    return bounds, buckets
+
+
 def _merge(intervals: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
     if not intervals:
         return []
@@ -349,12 +421,7 @@ class BufferPass(Pass):
         out: List[Finding] = []
         out += self._bounds(ir)
         per_buf = _node_accesses(ir)
-        overlaps: List[Finding] = []
-        races: List[Finding] = []
-        for buf, accesses in per_buf.items():
-            o, r = self._conflicts(ir, buf, accesses)
-            overlaps += o
-            races += r
+        overlaps, races = self.conflicts(ir, per_buf)
         out += _cap(overlaps, self, ir, "SA-BUF-OVERLAP")
         out += _cap(races, self, ir, "SA-BUF-RACE")
         uninit: List[Finding] = []
@@ -379,6 +446,23 @@ class BufferPass(Pass):
                     ))
         return out
 
+    def conflicts(self, ir: ScheduleIR,
+                  per_buf: Optional[Dict[int, List[_Access]]] = None
+                  ) -> Tuple[List[Finding], List[Finding]]:
+        """Every unordered conflicting pair, uncapped: the
+        ``SA-BUF-OVERLAP`` (write-write) and ``SA-BUF-RACE``
+        (read-write) findings.  ``verify`` judges each explored
+        schedule's races with this scan."""
+        if per_buf is None:
+            per_buf = _node_accesses(ir)
+        overlaps: List[Finding] = []
+        races: List[Finding] = []
+        for buf, accesses in per_buf.items():
+            o, r = self._conflicts(ir, buf, accesses)
+            overlaps += o
+            races += r
+        return overlaps, races
+
     def _conflicts(self, ir: ScheduleIR, buf: int,
                    accesses: List[_Access]
                    ) -> Tuple[List[Finding], List[Finding]]:
@@ -386,13 +470,12 @@ class BufferPass(Pass):
         accesses from different ranks overlapping in bytes, at least
         one a write, with no dependency path between their nodes."""
         info = ir.buffers[buf]
-        bounds = sorted({b for _, _, _, lo, hi in accesses
-                         for b in (lo, hi)})
+        _, buckets = _interval_buckets(accesses)
         overlaps: List[Finding] = []
         races: List[Finding] = []
         seen: set = set()
-        for lo, hi in zip(bounds, bounds[1:]):
-            here = [a for a in accesses if a[3] <= lo and a[4] >= hi]
+        anc: Optional[List[int]] = None
+        for here in buckets:
             writers = [a for a in here if a[2] == "w"]
             if not writers:
                 continue
@@ -402,8 +485,14 @@ class BufferPass(Pass):
                         continue
                     if other[2] == "w" and other[0] > wa[0]:
                         continue  # report each w-w pair once
-                    key = tuple(sorted((wa[0], other[0])))
-                    if key in seen or ir.ordered(wa[0], other[0]):
+                    key = ((wa[0], other[0]) if wa[0] < other[0]
+                           else (other[0], wa[0]))
+                    if key in seen:
+                        continue
+                    if anc is None:
+                        anc = ir.ancestors()
+                    if anc[other[0]] >> wa[0] & 1 \
+                            or anc[wa[0]] >> other[0] & 1:
                         continue
                     seen.add(key)
                     na, nb = ir.nodes[wa[0]], ir.nodes[other[0]]
@@ -434,16 +523,21 @@ class BufferPass(Pass):
         """Reads of a never-filled buffer not fully covered by
         happens-before-ordered writes."""
         info = ir.buffers[buf]
-        writes = [(node, lo, hi) for node, _, mode, lo, hi in accesses
-                  if mode == "w"]
+        bounds, buckets = _interval_buckets(
+            [a for a in accesses if a[2] == "w"])
         out = []
         for node, rank, mode, lo, hi in accesses:
             if mode != "r":
                 continue
-            covered = _merge([
-                (wlo, whi) for wnode, wlo, whi in writes
-                if wnode != node and ir.happens_before(wnode, node)
-            ])
+            # byte overlap first: only the writes sharing a bucket with
+            # [lo, hi) can cover it, and the happens-before test is the
+            # costly one
+            first = max(bisect_right(bounds, lo) - 1, 0)
+            here = {w for bucket in buckets[first:bisect_left(bounds, hi)]
+                    for w in bucket if w[0] != node}
+            before = ir.ancestors()[node] if here else 0
+            covered = _merge([(w[3], w[4]) for w in here
+                              if before >> w[0] & 1])
             gaps = _uncovered(lo, hi, covered)
             if gaps:
                 glo, ghi = gaps[0]

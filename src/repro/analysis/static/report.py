@@ -13,11 +13,8 @@ carries the quantitative verdicts (DAV byte counts, the critical-path
 bound) that make a clean report auditable rather than silent.
 
 The serialization here is shared by ``python -m repro lint --json``
-and ``python -m repro analyze --json``:
-:func:`findings_from_analysis` maps the dynamic analyzer's races,
-schedule issues and DAV check onto the same Finding shape (codes
-``HB-RACE``, ``LINT-*``, ``DAV-*``), so downstream tooling parses one
-format regardless of which analyzer produced it.
+and ``python -m repro lint --certify-regions --json`` (schema
+``repro-lint/1``).
 """
 
 from __future__ import annotations
@@ -133,71 +130,5 @@ class Report:
 
 
 def findings_to_json(payload: dict, *, indent: Optional[int] = None) -> str:
-    """Canonical JSON for finding-bearing documents (both CLIs)."""
+    """Canonical JSON for finding-bearing documents."""
     return json.dumps(payload, indent=indent, sort_keys=True)
-
-
-# ---------------------------------------------------------------------------
-# Dynamic-analysis bridge (python -m repro analyze --json)
-# ---------------------------------------------------------------------------
-
-#: severity of each dynamic schedule-lint kind
-_ISSUE_SEVERITY = {
-    "deadlock": "error",
-    "barrier-group-mismatch": "error",
-    "tag-reuse": "warning",
-    "unmatched-post-ref": "error",
-    "slot-overwrite": "error",
-}
-
-
-def findings_from_analysis(case_result) -> List[Finding]:
-    """Map one dynamic :class:`~repro.analysis.runner.CaseResult` onto
-    the shared Finding shape.
-
-    Races become ``HB-RACE`` errors, schedule issues ``LINT-<KIND>``,
-    the DAV check ``DAV-OK`` / ``DAV-FAIL`` / ``DAV-SKIP``, and engine
-    crashes ``ENGINE-ERROR`` — one code space with the static
-    analyzer's ``SA-*`` findings, shared by both ``--json`` outputs.
-    """
-    label = case_result.case.label
-    report = case_result.report
-    out: List[Finding] = []
-    if case_result.error:
-        out.append(Finding(
-            code="ENGINE-ERROR", severity="error",
-            message=case_result.error, pass_name="engine", case=label,
-        ))
-    if report.total_races:
-        for race in report.races:
-            out.append(Finding(
-                code="HB-RACE", severity="error",
-                message=race.describe(), pass_name="hb", case=label,
-            ))
-        hidden = report.total_races - len(report.races)
-        if hidden > 0:
-            out.append(Finding(
-                code="HB-RACE", severity="error",
-                message=f"... and {hidden} more race(s) not listed",
-                pass_name="hb", case=label,
-                data={"total": report.total_races,
-                      "kinds": dict(report.race_kinds)},
-            ))
-    for issue in report.issues:
-        kind = issue.kind.upper().replace("_", "-")
-        out.append(Finding(
-            code=f"LINT-{kind}",
-            severity=_ISSUE_SEVERITY.get(issue.kind, "error"),
-            message=issue.message, pass_name="schedule", case=label,
-        ))
-    dav = report.dav
-    if dav is not None:
-        code = {"ok": "DAV-OK", "fail": "DAV-FAIL",
-                "skipped": "DAV-SKIP"}[dav.status]
-        out.append(Finding(
-            code=code,
-            severity="error" if dav.status == "fail" else "info",
-            message=dav.describe(), pass_name="dav", case=label,
-            data={"measured": dav.measured, "predicted": dav.predicted},
-        ))
-    return out

@@ -59,7 +59,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.dav import REL_TOL, predicted_dav
 from repro.analysis.static.ir import (
     BufferInfo,
     Edge,
@@ -70,6 +69,7 @@ from repro.analysis.static.ir import (
 from repro.analysis.static.passes import BufferPass, Pass, _cap
 from repro.analysis.static.report import Finding, Report
 from repro.machine.spec import MachineSpec
+from repro.models.dav import REL_TOL, predicted_dav
 from repro.models.nt_model import decision_guards, region_modulus
 
 #: schema tag for serialized region certificates

@@ -63,7 +63,7 @@ class Profiler:
             raise AttributeError(name)
         inner = getattr(self.library, name)  # AttributeError names both
         if name not in self.COLLECTIVES:
-            # A PMPI shim is transparent: non-collective API (analyze,
+            # A PMPI shim is transparent: non-collective API (lint,
             # verify, comm, ...) passes straight through unprofiled.
             return inner
 

@@ -119,37 +119,6 @@ class YHCCL:
 
     # ---- schedule verification --------------------------------------------------
 
-    def analyze(self, kind: str, nbytes: int, *, op: str = "sum",
-                schedule_seed: Optional[int] = None):
-        """Verify the schedule YHCCL would select for ``(kind, nbytes)``.
-
-        Runs the selected algorithm on a *traced* functional twin of
-        this communicator (same rank count and machine) and returns the
-        :class:`~repro.analysis.AnalysisReport` of its happens-before
-        race check, schedule lints and DAV cross-check — the artifact's
-        answer to "is this schedule correct, or did this run just get
-        lucky?".  See ``docs/analysis.md``.
-        """
-        from repro.analysis import analyze_trace
-        from repro.sim.engine import DeadlockError, Engine
-
-        sel = self._select(kind, nbytes) if kind in ("bcast", "allgather") \
-            else select(kind, nbytes, self.config, op=op)
-        eng = Engine(self.comm.nranks, machine=self.comm.machine,
-                     functional=True, trace=True,
-                     schedule_seed=schedule_seed)
-        runner = {
-            "bcast": run_bcast_collective,
-            "allgather": run_allgather_collective,
-        }.get(kind, run_reduce_collective)
-        kw = {} if kind in ("bcast", "allgather") else {"op": op}
-        try:
-            runner(sel.algorithm, eng, nbytes,
-                   copy_policy=sel.copy_policy, imax=self.config.imax, **kw)
-        except DeadlockError:
-            pass  # the trace carries the blocked certificates
-        return analyze_trace(eng.trace, eng.nranks)
-
     def lint(self, kind: str, nbytes: int, *, op: str = "sum",
              nranks: Optional[int] = None):
         """Statically lint the schedule YHCCL would select for
@@ -201,12 +170,13 @@ class YHCCL:
         """Model-check the algorithm YHCCL would select for
         ``(kind, nbytes)``.
 
-        Where :meth:`analyze` certifies the one interleaving the engine
-        executed, ``verify`` explores **every** DPOR-distinct
-        interleaving of the selected algorithm on a functional twin
-        (``nranks`` defaults to ``min(self.comm.nranks, 3)`` — the
-        schedule space grows fast) and checks output equality, race
-        freedom and the DAV invariant at each terminal state.  Returns
+        Where :meth:`lint` judges the schedule lifted from the one
+        interleaving the engine executed, ``verify`` explores **every**
+        DPOR-distinct interleaving of the selected algorithm on a
+        functional twin (``nranks`` defaults to
+        ``min(self.comm.nranks, 3)`` — the schedule space grows fast)
+        and checks output equality, race freedom and the DAV invariant
+        at each terminal state.  Returns
         a :class:`~repro.analysis.mc.VerifyCaseResult`; a failure
         carries a minimized replayable schedule certificate.
         """

@@ -11,24 +11,41 @@ For most rows the two agree; the documented exceptions are constant
 ``O(s)`` terms where the paper's arithmetic is internally inconsistent
 (re-derivable from its own Section 3 accounting):
 
-===============  ======================  ==========================
+===============  ======================  ==============================
 algorithm        paper                   implementation
-===============  ======================  ==========================
+===============  ======================  ==============================
 DPML allreduce   ``s(7p - 1)``           ``s(7p - 3)``
 DPML reduce      ``s(5p + 1)``           ``s(5p - 1)``
 Ring allreduce   ``7s(p - 1)``           ``7s(p-1) + 2s`` (own-chunk
                                          copy-out)
-Rabenseifner     ``5sp * sum`` / ``7sp   ``+ 2s``/``+ 4s`` block- and
-                 * sum``                 result-delivery constants
-===============  ======================  ==========================
+Rabenseifner RS  ``5sp * sum``           ``5s(p-1) + 2s + 2 staged``
+                                         (block delivery)
+Rabenseifner AR  ``7sp * sum``           ``7s(p-1) + 4s`` (result
+                                         delivery)
+===============  ======================  ==============================
+
+``sum`` is ``1/2 + 1/4 + ... + 1/p`` over the power of two below
+``p``.  At a power-of-two ``p`` the paper rows equal ``5s(p-1)`` and
+``7s(p-1)``; otherwise they miss the non-power-of-two preamble, where
+each of the ``p - 2^k`` folded ranks stages its full vector (2s) into
+a partner that reduces it (3s) — Jocksch et al. (arXiv:2006.13112)
+treat that case separately.  ``staged`` (:func:`_rabenseifner_staged`)
+counts the result bytes that reach their owner through a staging copy:
+0 at a power of two with aligned ``s``.
 
 All formulas take the per-rank message size ``s`` in bytes and return
-bytes per node.
+bytes per node.  :func:`predicted_dav` is the oracle the analyzers pin
+traced runs against: these implementation rows plus locally derived
+rows for the collectives the tables omit.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable, Dict, Optional
+
+#: relative tolerance for float formula vs integer byte counters
+REL_TOL = 1e-9
 
 
 def _harmonic_halving(p: int) -> float:
@@ -40,6 +57,27 @@ def _harmonic_halving(p: int) -> float:
         total += 1.0 / k
         k *= 2
     return total
+
+
+def _rabenseifner_staged(s: int, p: int) -> int:
+    """Bytes of each rank's ``partition(s, p)`` block outside its own
+    post-halving ``participant_range``, summed over ranks.  Those bytes
+    reach their owner through a staging copy (2s more each); a rank the
+    non-power-of-two preamble folded away owns nothing, so its whole
+    block is staged."""
+    from repro.collectives.common import partition
+    from repro.collectives.rabenseifner import Plan, participant_range
+
+    plan = Plan(p)
+    staged = 0
+    for r, (off, n) in enumerate(partition(s, p)):
+        nr = plan.newrank[r]
+        if nr < 0:
+            staged += n
+            continue
+        lo, hi = participant_range(plan, nr, s)
+        staged += n - max(0, min(off + n, hi) - max(off, lo))
+    return staged
 
 
 def _rg_levels(p: int, k: int):
@@ -64,8 +102,10 @@ def dav_reduce_scatter(algorithm: str, s: int, p: int, *, m: int = 2,
     if algorithm == "ring":
         return 5.0 * s * (p - 1)
     if algorithm == "rabenseifner":
-        base = 5.0 * s * p * _harmonic_halving(p)
-        return base if paper else base + 2.0 * s
+        if paper:
+            return 5.0 * s * p * _harmonic_halving(p)
+        return (5.0 * s * (p - 1) + 2.0 * s
+                + 2.0 * _rabenseifner_staged(s, p))
     if algorithm == "dpml":
         return s * (5.0 * p - 1.0)
     if algorithm == "ma":
@@ -87,8 +127,9 @@ def dav_allreduce(algorithm: str, s: int, p: int, *, m: int = 2, k: int = 2,
         base = 7.0 * s * (p - 1)
         return base if paper else base + 2.0 * s
     if algorithm == "rabenseifner":
-        base = 7.0 * s * p * _harmonic_halving(p)
-        return base if paper else base + 4.0 * s
+        if paper:
+            return 7.0 * s * p * _harmonic_halving(p)
+        return 7.0 * s * (p - 1) + 4.0 * s
     if algorithm == "dpml":
         return s * (7.0 * p - 1.0) if paper else s * (7.0 * p - 3.0)
     if algorithm == "dpml2":
@@ -162,3 +203,31 @@ def implementation_dav(kind: str, algorithm: str, s: int, p: int, *,
                        m: int = 2, k: int = 2) -> float:
     """DAV this package's implementation is expected to count."""
     return DAV_FORMULAS[kind](algorithm, s, p, m=m, k=k, paper=False)
+
+
+# Formulas for collectives outside Tables 1-3, derived from this
+# package's implementations the same way the *_impl rows were (each
+# term is one copy/reduce pass over s or s/p bytes):
+#   bcast             root writes shm (2s), p-1 readers copy out (2s each)
+#   allgather         p ranks copy in s (2s each), p copy out ps (2ps each)
+#   reduce_scatter_v  the MA pipeline on ragged counts; total is still s,
+#                     so Table 1's MA row applies verbatim
+#   allgather_v       total contribution s copied in once, s copied out
+#                     by each of p ranks
+_EXTRA_DAV: Dict[str, Callable[[int, int], float]] = {
+    "bcast": lambda s, p: 2.0 * s * p,
+    "allgather": lambda s, p: 2.0 * s * p + 2.0 * s * p * p,
+    "reduce_scatter_v": lambda s, p: s * (3.0 * p - 1.0),
+    "allgather_v": lambda s, p: 2.0 * s * (p + 1.0),
+}
+
+
+def predicted_dav(kind: str, algorithm: str, s: int, p: int, *,
+                  m: int = 2, k: int = 2) -> Optional[float]:
+    """Expected DAV, or ``None`` when no model covers the collective."""
+    if kind in _EXTRA_DAV:
+        return _EXTRA_DAV[kind](s, p)
+    try:
+        return implementation_dav(kind, algorithm, s, p, m=m, k=k)
+    except (KeyError, ValueError):
+        return None

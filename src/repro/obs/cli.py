@@ -3,22 +3,25 @@
 Runs one traced functional collective from the analysis matrix
 (:func:`repro.analysis.runner.cases`), writes the Chrome trace-event
 JSON (load it at https://ui.perfetto.dev), and prints the per-rank
-counter summary plus the Theorem 3.1 DAV cross-check.
+counter summary plus the Theorem 3.1 DAV verdict of the static DAV
+pass over the lifted run.
 """
 
 from __future__ import annotations
 
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import TYPE_CHECKING, List
 
-from repro.analysis.dav import check_dav
 from repro.analysis.runner import Case, cases
 from repro.machine.spec import PRESETS
 from repro.obs.counters import Counters
 from repro.obs.perfetto import write_chrome_trace
 from repro.sim.engine import DeadlockError, Engine
 from repro.sim.timeline import render_timeline
+
+if TYPE_CHECKING:
+    from repro.analysis.static.report import Finding
 
 
 def resolve_case(name: str) -> Case:
@@ -124,19 +127,22 @@ def run_trace_command(args) -> int:
           f"ops, {len(eng.trace.spans)} spans)")
     for line in _counter_lines(counters):
         print(f"  {line}")
-    check = _dav_check(case, eng, args)
-    if check is not None:
-        print(f"  {check.describe()}")
+    findings = _dav_check(case, eng, counters, args)
+    for finding in findings:
+        print(f"  {finding.describe()}")
     if args.timeline:
         print(render_timeline(eng.trace))
-    return 0 if check is None or check.ok else 1
+    return 1 if any(f.severity == "error" for f in findings) else 0
 
 
-def _dav_check(case: Case, eng: Engine, args):
-    """Cross-check the trace's DAV against the Theorem 3.1 formula
-    (``None`` when the matrix has no table row for this case)."""
-    if not case.dav_algorithm:
-        return None
-    m: Optional[int] = eng.machine.sockets if eng.machine else 2
-    return check_dav(eng.trace, case.kind, case.dav_algorithm,
-                     args.size, args.nranks, m=m, k=case.k)
+def _dav_check(case: Case, eng: Engine, counters: Counters,
+               args) -> List[Finding]:
+    """Lift the traced run and pin its DAV against the Theorem 3.1 row
+    (and against ``counters``) with the static DAV pass."""
+    from repro.analysis.static.extract import case_meta, ir_from_trace
+    from repro.analysis.static.passes import StaticDavPass
+
+    meta = case_meta(case, s=args.size, machine=eng.machine)
+    meta.update(nranks=args.nranks, counters=counters.snapshot())
+    ir = ir_from_trace(eng.trace, buffers=eng.buffers, meta=meta)
+    return StaticDavPass().run(ir)

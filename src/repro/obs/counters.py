@@ -7,7 +7,8 @@ argument is made of, from two independent sources:
   / reduce / touch bytes, flag-wait and barrier-stall time, busy time —
   from which the Theorem 3.1 data-access volume is
   ``2 * copy + 3 * reduce`` bytes, exactly what
-  :func:`repro.analysis.dav.traced_dav` computes node-wide;
+  :meth:`repro.analysis.static.ir.ScheduleIR.static_dav` computes
+  node-wide over the lifted schedule;
 * the **memory system** (:class:`~repro.machine.memory.TrafficCounters`
   per rank): the same accesses broken down by the physical level that
   served them — cache hits, DRAM reads/writes, cross-socket (NUMA) and

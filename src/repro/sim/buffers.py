@@ -20,8 +20,8 @@ At access time the :class:`Sanitizer` flags
 * **same-epoch overlapping writes** — two ranks write overlapping
   bytes with no synchronization event anywhere between them, which no
   happens-before edge could possibly order (the blatant-race subset a
-  shadow-memory check can prove at access time; the vector-clock
-  analyzer in :mod:`repro.analysis.hb` covers the rest).
+  shadow-memory check can prove at access time; the schedule-IR race
+  scan in :mod:`repro.analysis.static.passes` covers the rest).
 
 Out-of-bounds slicing is checked unconditionally:
 :meth:`BufView.sub` and the :class:`BufView` constructor raise

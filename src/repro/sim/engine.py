@@ -426,8 +426,9 @@ class Engine:
         stream.  The compiled-schedule capture uses this *light
         tracing* mode: lowering only needs the op/sync structure, and
         access events dominate the capture overhead on slice-heavy
-        cells.  Traces meant for the happens-before analyzer or the
-        static buffer lints need the full stream (the default)."""
+        cells.  Traces meant for the race and uninitialized-read
+        passes of the schedule analyzer need the full stream (the
+        default)."""
         if nranks <= 0:
             raise ValueError("nranks must be positive")
         if machine is not None:
@@ -587,7 +588,7 @@ class Engine:
         if self.trace is not None:
             # Back-to-back collectives on one engine are separated by a
             # global synchronization (the previous run drained fully);
-            # the marker lets the analyzer order cross-run accesses.
+            # the marker lets Trace.slice_last_run cut out one run.
             self.trace.add_event(
                 SyncEvent(seq=self.trace.next_seq(), rank=-1,
                           kind="run_start", group=tuple(ranks))

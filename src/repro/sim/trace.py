@@ -13,11 +13,12 @@ A trace carries three parallel streams:
   synchronization), the per-rank schedule view consumed by the replay
   and timeline tools;
 * ``events`` — fine-grained :class:`AccessEvent`/:class:`SyncEvent`
-  entries in global execution order, the input to
-  :mod:`repro.analysis`'s happens-before race detector.  Access events
-  name the exact buffer byte range each operation read or wrote; sync
-  events capture post/wait/barrier structure, including *which* posts a
-  wait matched — everything a vector-clock construction needs;
+  entries in global execution order, the input to the schedule-IR
+  lift (:func:`repro.analysis.static.extract.ir_from_trace`).  Access
+  events name the exact buffer byte range each operation read or
+  wrote; sync events capture post/wait/barrier structure, including
+  *which* posts a wait matched — everything a happens-before
+  construction needs;
 * ``spans`` — coarse :class:`SpanRecord` phase labels emitted through
   the :meth:`~repro.sim.engine.RankCtx.span` API, naming *why* a rank
   spent a stretch of time (e.g. MA's reduce wavefront vs its copy-out
@@ -92,12 +93,6 @@ class AccessEvent:
     def end(self) -> int:
         return self.off + self.nbytes
 
-    def describe(self) -> str:
-        rng = f"[{self.off}, {self.end})"
-        return (f"rank {self.rank} {self.op_kind} "
-                f"{'write' if self.mode == 'w' else 'read'} "
-                f"{self.buf_name}{rng} (op #{self.op_index})")
-
 
 @dataclass(frozen=True)
 class SpanRecord:
@@ -133,7 +128,8 @@ class SyncEvent:
     * ``"blocked"`` — the run deadlocked with this rank parked on the
       described wait/barrier (a deadlock certificate);
     * ``"run_start"`` — :meth:`Engine.run` began (separates back-to-back
-      collectives on one engine; acts as a global synchronization).
+      collectives on one engine; :meth:`Trace.slice_last_run` cuts at
+      the last one).
     """
 
     seq: int
@@ -144,17 +140,6 @@ class SyncEvent:
     group: tuple = ()
     matched: tuple = ()
     detail: str = ""
-
-    def describe(self) -> str:
-        if self.kind == "post":
-            return f"rank {self.rank} post({self.tag!r})"
-        if self.kind == "wait":
-            return f"rank {self.rank} wait({self.tag!r}, count={self.count})"
-        if self.kind == "barrier":
-            return f"barrier{self.group}"
-        if self.kind == "blocked":
-            return f"rank {self.rank} blocked: {self.detail}"
-        return self.kind
 
 
 class Trace:

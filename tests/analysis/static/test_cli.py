@@ -1,5 +1,5 @@
-"""The ``python -m repro lint`` CLI, ``analyze --json`` and
-``YHCCL.lint()`` surfaces."""
+"""The ``python -m repro lint`` CLI, its ``--json`` document and the
+``YHCCL.lint()`` surface."""
 
 import json
 
@@ -112,24 +112,25 @@ class TestCertifyRegionsCLI:
 
 class TestAnalyzeJson:
     def test_findings_on_stdout_progress_on_stderr(self, capsys):
-        rc = main(["analyze", "ma", "-n", "4", "-s", "2048", "--json"])
+        rc = main(["lint", "ma", "-n", "4", "-s", "2048", "--machine",
+                   "none", "--json"])
         captured = capsys.readouterr()
         assert rc == 0
-        doc = json.loads(captured.out)
-        assert doc["schema"] == "repro-analyze/1"
+        doc = json.loads(captured.out)  # stdout is the document alone
+        assert doc["schema"] == "repro-lint/1"
         assert doc["ok"] is True
         assert {c["case"] for c in doc["cases"]} == {
             "ma/reduce_scatter", "ma/allreduce", "ma/reduce"}
-        # human-readable progress went to stderr, not into the JSON
-        assert "[OK]" in captured.err
+        assert captured.err == ""
 
     def test_dav_findings_share_shape_with_lint(self, capsys):
-        rc = main(["analyze", "ma", "-n", "4", "-s", "2048", "--json"])
+        rc = main(["lint", "ma", "-n", "4", "-s", "2048", "--machine",
+                   "none", "--json"])
         doc = json.loads(capsys.readouterr().out)
         assert rc == 0
         davs = [f for c in doc["cases"] for f in c["findings"]
-                if f["code"] == "DAV-OK"]
-        assert davs
+                if f["code"] == "SA-DAV-OK"]
+        assert len(davs) == 3
         assert davs[0]["data"]["measured"] == davs[0]["data"]["predicted"]
 
 

@@ -1,11 +1,12 @@
-"""DAV cross-check: traced volume vs Theorem 3.1 formulas."""
+"""DAV verdicts: the lifted schedule's volume vs Theorem 3.1 formulas."""
 
 import pytest
 
-from repro.analysis.dav import check_dav, predicted_dav, traced_dav
+from repro.analysis.static.extract import ir_from_trace
+from repro.analysis.static.passes import StaticDavPass
 from repro.collectives.common import run_reduce_collective
 from repro.collectives.ma import MA_ALLREDUCE
-from repro.models.dav import implementation_dav
+from repro.models.dav import implementation_dav, predicted_dav
 from repro.sim.engine import Engine
 from repro.sim.trace import OpRecord, Trace
 
@@ -16,37 +17,44 @@ def _traced_run(p=6, s=4800):
     return eng.trace, p, s
 
 
-def test_traced_dav_is_2copy_plus_3reduce():
+def _dav_finding(trace, kind, algorithm, s, p):
+    meta = {"kind": kind, "dav_algorithm": algorithm, "s": s, "nranks": p}
+    (finding,) = StaticDavPass().run(ir_from_trace(trace, meta=meta))
+    return finding
+
+
+def test_static_dav_is_2copy_plus_3reduce():
     trace = Trace()
     trace.add(OpRecord(rank=0, kind="copy", nbytes=100))
     trace.add(OpRecord(rank=1, kind="reduce_acc", nbytes=40))
     trace.add(OpRecord(rank=1, kind="reduce_out", nbytes=10))
     trace.add(OpRecord(rank=0, kind="touch", nbytes=999))  # not DAV
-    assert traced_dav(trace) == 2 * 100 + 3 * 50
+    assert ir_from_trace(trace).static_dav() == 2 * 100 + 3 * 50
 
 
 def test_ma_allreduce_matches_formula_exactly():
     trace, p, s = _traced_run()
-    check = check_dav(trace, "allreduce", "ma", s, p)
-    assert check.status == "ok"
-    assert check.measured == implementation_dav("allreduce", "ma", s, p)
+    finding = _dav_finding(trace, "allreduce", "ma", s, p)
+    assert finding.code == "SA-DAV-OK"
+    assert finding.data["measured"] == \
+        implementation_dav("allreduce", "ma", s, p)
 
 
 def test_excess_movement_fails():
     trace, p, s = _traced_run()
     trace.add(OpRecord(rank=0, kind="copy", nbytes=64))  # redundant copy
-    check = check_dav(trace, "allreduce", "ma", s, p)
-    assert check.status == "fail"
-    assert not check.ok
-    assert "more than Theorem 3.1" in check.describe()
+    finding = _dav_finding(trace, "allreduce", "ma", s, p)
+    assert finding.code == "SA-DAV-EXCESS"
+    assert finding.severity == "error"
+    assert "128 B of redundant movement" in finding.message
 
 
 def test_unknown_collective_is_skipped_not_passed():
     trace, p, s = _traced_run()
-    check = check_dav(trace, "allreduce", "mystery", s, p)
-    assert check.status == "skipped"
-    assert check.ok  # skipped is not a failure
-    assert "no DAV model" in check.describe()
+    finding = _dav_finding(trace, "allreduce", "mystery", s, p)
+    assert finding.code == "SA-DAV-SKIP"
+    assert finding.severity == "info"  # skipped is not a failure
+    assert "no DAV model" in finding.message
     assert predicted_dav("allreduce", "mystery", s, p) is None
 
 

@@ -1,8 +1,14 @@
-"""Vector-clock construction and race detection unit tests."""
+"""Happens-before race detection over the lifted schedule IR: the
+buffer pass's unordered-conflict scan on hand-written engine programs."""
 
-from repro.analysis import analyze_trace
-from repro.analysis.hb import find_races, race_check, stamp_accesses
+import pytest
+
+from repro.analysis.static.extract import ir_from_trace
+from repro.analysis.static.ir import ScheduleIR
+from repro.analysis.static.passes import MAX_REPORTED, BufferPass, run_passes
 from repro.sim.engine import Engine
+
+RACE_CODES = ("SA-BUF-OVERLAP", "SA-BUF-RACE")
 
 
 def _two_rank_engine():
@@ -11,6 +17,33 @@ def _two_rank_engine():
     priv = [eng.alloc(r, 128, fill=float(r), name=f"b[{r}]")
             for r in range(2)]
     return eng, shm, priv
+
+
+def _lift(eng):
+    return ir_from_trace(eng.trace, buffers=eng.buffers)
+
+
+def _races(eng):
+    """Every unordered conflicting pair, uncapped."""
+    overlaps, races = BufferPass().conflicts(_lift(eng))
+    return overlaps + races
+
+
+def _sliced_writes(slices):
+    """Both ranks write the same ``slices`` 64-byte slices of one
+    window, unordered: one write-write pair per slice."""
+    eng = Engine(2, functional=True, trace=True)
+    shm = eng.alloc_shared(64 * slices, name="win")
+    priv = [eng.alloc(r, 64, fill=0.0, name=f"b[{r}]") for r in range(2)]
+
+    def prog(ctx):
+        for i in range(slices):
+            ctx.copy(shm.view(i * 64, 64), priv[ctx.rank].view(0, 64))
+        return
+        yield
+
+    eng.run(prog)
+    return eng
 
 
 class TestOrdering:
@@ -26,8 +59,8 @@ class TestOrdering:
                 ctx.copy(priv[1].view(0, 64), shm.view(0, 64))
 
         eng.run(prog)
-        races, total = race_check(eng.trace, 2)
-        assert total == 0 and not races
+        assert _races(eng) == []
+        assert run_passes(_lift(eng)).ok
 
     def test_missing_wait_is_a_race(self):
         eng, shm, priv = _two_rank_engine()
@@ -41,14 +74,11 @@ class TestOrdering:
             yield
 
         eng.run(prog)
-        races, total = race_check(eng.trace, 2)
-        assert total == 1
-        (race,) = races
-        assert race.kind == "read-write"
-        assert race.buf_name == "win"
-        assert race.overlap == (0, 64)
-        assert {race.first.rank, race.second.rank} == {0, 1}
-        assert "win[0, 64)" in race.describe()
+        ir = _lift(eng)
+        (race,) = _races(eng)
+        assert race.code == "SA-BUF-RACE"
+        assert "win[0, 64)" in race.message
+        assert {ir.nodes[n].rank for n in race.nodes} == {0, 1}
 
     def test_barrier_orders_accesses(self):
         eng, shm, priv = _two_rank_engine()
@@ -61,10 +91,12 @@ class TestOrdering:
                 ctx.copy(priv[1].view(0, 64), shm.view(0, 64))
 
         eng.run(prog)
-        races, total = race_check(eng.trace, 2)
-        assert total == 0 and not races
+        assert _races(eng) == []
 
     def test_run_boundary_is_global_sync(self):
+        """A trace holding two engine runs has no single schedule to
+        lift: the IR refuses it instead of dropping the run boundary
+        (which would order nothing and report false races)."""
         eng, shm, priv = _two_rank_engine()
 
         def writer(ctx):
@@ -80,9 +112,13 @@ class TestOrdering:
             yield
 
         eng.run(writer)
-        eng.run(reader)  # separate run: the boundary orders the accesses
-        races, total = race_check(eng.trace, 2)
-        assert total == 0
+        res = eng.run(reader)
+        with pytest.raises(ValueError, match="Trace.slice_last_run"):
+            _lift(eng)
+        # the last run alone lifts fine
+        last = ir_from_trace(eng.trace.slice_last_run(res.first_record),
+                             buffers=eng.buffers)
+        assert [n.rank for n in last.nodes] == [1]
 
 
 class TestConflictRules:
@@ -95,8 +131,7 @@ class TestConflictRules:
             yield
 
         eng.run(prog)
-        races, total = race_check(eng.trace, 2)
-        assert total == 0
+        assert _races(eng) == []
 
     def test_disjoint_ranges_are_not_a_race(self):
         eng, shm, priv = _two_rank_engine()
@@ -108,8 +143,7 @@ class TestConflictRules:
             yield
 
         eng.run(prog)
-        races, total = race_check(eng.trace, 2)
-        assert total == 0
+        assert _races(eng) == []
 
     def test_unordered_write_write_flagged(self):
         eng, shm, priv = _two_rank_engine()
@@ -120,10 +154,9 @@ class TestConflictRules:
             yield
 
         eng.run(prog)
-        races, total = race_check(eng.trace, 2)
-        assert total == 1
-        assert races[0].kind == "write-write"
-        assert races[0].overlap == (32, 96)
+        (race,) = _races(eng)
+        assert race.code == "SA-BUF-OVERLAP"
+        assert "win[32, 96)" in race.message
 
     def test_partial_overlap_reported_exactly(self):
         eng, shm, priv = _two_rank_engine()
@@ -137,29 +170,21 @@ class TestConflictRules:
             yield
 
         eng.run(prog)
-        races, _ = race_check(eng.trace, 2)
-        assert races[0].overlap == (48, 64)
+        (race,) = _races(eng)
+        assert "win[48, 64)" in race.message
 
 
 class TestReporting:
     def test_max_reports_caps_reporting_not_counting(self):
-        eng = Engine(2, functional=True, trace=True)
-        shm = eng.alloc_shared(512, name="win")
-        priv = [eng.alloc(r, 512, fill=0.0, name=f"b[{r}]")
-                for r in range(2)]
+        eng = _sliced_writes(12)
+        assert len(_races(eng)) == 12
+        listed = [f for f in BufferPass().run(_lift(eng))
+                  if f.code == "SA-BUF-OVERLAP"]
+        # MAX_REPORTED pairs listed, plus one summary counting them all
+        assert len(listed) == MAX_REPORTED + 1 < 12
+        assert listed[-1].data == {"total": 12}
 
-        def prog(ctx):
-            for i in range(8):
-                ctx.copy(shm.view(i * 64, 64), priv[ctx.rank].view(0, 64))
-            return
-            yield
-
-        eng.run(prog)
-        races, total = race_check(eng.trace, 2, max_reports=3)
-        assert len(races) == 3
-        assert total > 3
-
-    def test_analyze_trace_surfaces_races(self):
+    def test_run_passes_surfaces_races(self):
         eng, shm, priv = _two_rank_engine()
 
         def prog(ctx):
@@ -168,63 +193,30 @@ class TestReporting:
             yield
 
         eng.run(prog)
-        report = analyze_trace(eng.trace, 2)
+        report = run_passes(_lift(eng))
         assert not report.ok
-        assert report.total_races == 1
-        assert "race" in report.describe()
-
-    def test_stamp_accesses_snapshots_monotone_per_rank(self):
-        eng, shm, priv = _two_rank_engine()
-
-        def prog(ctx):
-            ctx.copy(shm.view(ctx.rank * 64, 64), priv[ctx.rank].view(0, 64))
-            yield ctx.barrier()
-            ctx.copy(priv[ctx.rank].view(0, 64), shm.view(ctx.rank * 64, 64))
-
-        eng.run(prog)
-        stamped = stamp_accesses(eng.trace.events, 2)
-        for rank in (0, 1):
-            own = [sa.snapshot[rank] for sa in stamped
-                   if sa.event.rank == rank]
-            assert own == sorted(own)
+        overlaps = [f for f in report.errors if f.code == "SA-BUF-OVERLAP"]
+        assert len(overlaps) == 1
+        assert "no dependency path" in report.describe()
 
     def test_find_races_empty_input(self):
-        assert find_races([]) == ([], 0)
+        assert BufferPass().conflicts(ScheduleIR()) == ([], [])
+        assert BufferPass().run(ScheduleIR()) == []
 
     def test_kind_totals_exact_under_truncation(self):
-        """Per-kind tallies count every race, not just the reported."""
-        eng = Engine(2, functional=True, trace=True)
-        shm = eng.alloc_shared(512, name="win")
-        priv = [eng.alloc(r, 512, fill=0.0, name=f"b[{r}]")
-                for r in range(2)]
-
-        def prog(ctx):
-            for i in range(8):
-                ctx.copy(shm.view(i * 64, 64), priv[ctx.rank].view(0, 64))
-            return
-            yield
-
-        eng.run(prog)
-        races, total = race_check(eng.trace, 2, max_reports=3)
-        assert sum(races.kind_totals.values()) == total
-        assert races.kind_totals["write-write"] == total
+        """The count survives the cap: every pair is write-write, and
+        the summary counts all of them, not just the listed ones."""
+        eng = _sliced_writes(12)
+        overlaps, races = BufferPass().conflicts(_lift(eng))
+        assert (len(overlaps), len(races)) == (12, 0)
+        findings = BufferPass().run(_lift(eng))
+        assert {f.code for f in findings} & set(RACE_CODES) == \
+            {"SA-BUF-OVERLAP"}
+        assert findings[MAX_REPORTED].data["total"] == len(overlaps)
 
     def test_truncated_report_names_hidden_count(self):
-        eng = Engine(2, functional=True, trace=True)
-        shm = eng.alloc_shared(512, name="win")
-        priv = [eng.alloc(r, 512, fill=0.0, name=f"b[{r}]")
-                for r in range(2)]
-
-        def prog(ctx):
-            for i in range(8):
-                ctx.copy(shm.view(i * 64, 64), priv[ctx.rank].view(0, 64))
-            return
-            yield
-
-        eng.run(prog)
-        report = analyze_trace(eng.trace, 2, max_reports=3)
-        text = report.describe()
-        hidden = report.total_races - 3
-        assert f"{report.total_races} race(s)" in text
-        assert "write-write" in text
-        assert f"and {hidden} more race(s) not shown" in text
+        eng = _sliced_writes(12)
+        text = run_passes(_lift(eng)).describe()
+        hidden = 12 - MAX_REPORTED
+        assert (f"and {hidden} more SA-BUF-OVERLAP finding(s) not listed "
+                f"(all 12 counted)") in text

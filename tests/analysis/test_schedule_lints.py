@@ -1,12 +1,19 @@
-"""Schedule lints: deadlock certificates, tag reuse, barrier mismatch,
-slot-overwrite classification."""
+"""Sync-hygiene verdicts of the deadlock pass over lifted schedules:
+deadlock certificates, tag reuse, barrier mismatch, lift integrity and
+slot-overwrite races."""
 
 import pytest
 
-from repro.analysis import analyze_trace
-from repro.analysis.schedule import lint_schedule
+from repro.analysis.static.extract import ir_from_trace
+from repro.analysis.static.passes import DeadlockPass, run_passes
 from repro.sim.engine import DeadlockError, Engine
-from repro.sim.trace import SyncEvent, Trace
+from repro.sim.trace import OpRecord, SyncEvent, Trace
+
+
+def _findings(eng, code):
+    report = run_passes(ir_from_trace(eng.trace, buffers=eng.buffers,
+                                      meta={"deadlocked": True}))
+    return report, [f for f in report.findings if f.code == code]
 
 
 class TestDeadlockCertificates:
@@ -19,12 +26,10 @@ class TestDeadlockCertificates:
 
         with pytest.raises(DeadlockError):
             eng.run(prog)
-        report = analyze_trace(eng.trace, 3)
+        report, (cert,) = _findings(eng, "SA-DL-UNSAT")
         assert not report.ok
-        (cert,) = report.deadlocks
-        assert cert.rank == 2
-        assert cert.tag == ("ghost", 7)
-        assert "ghost" in cert.message and "never arrive" in cert.message
+        assert "rank 2 wait(('ghost', 7), count=1)" in cert.message
+        assert "never arrive" in cert.message
 
     def test_underposted_wait_counts_missing_posts(self):
         eng = Engine(4, functional=True, trace=True)
@@ -41,8 +46,9 @@ class TestDeadlockCertificates:
         assert blocked.rank == 3
         assert blocked.have == 1 and blocked.count == 3
         assert blocked.posters == (0,)
-        (cert,) = analyze_trace(eng.trace, 4).deadlocks
-        assert "1 post(s)" in cert.message
+        _, (cert,) = _findings(eng, "SA-DL-UNSAT")
+        assert "1 post(s) of 3 required" in cert.message
+        assert cert.data == {"have": 1, "required": 3}
 
     def test_partial_barrier_names_missing_ranks(self):
         eng = Engine(3, functional=True, trace=True)
@@ -57,9 +63,9 @@ class TestDeadlockCertificates:
         for b in exc.value.blocked:
             assert b.kind == "barrier"
             assert 1 not in b.arrived
-        certs = analyze_trace(eng.trace, 3).deadlocks
+        _, certs = _findings(eng, "SA-DL-BARRIER")
         assert len(certs) == 2
-        assert all("waiting for ranks" in c.message for c in certs)
+        assert all("ranks (1,) never arrive" in c.message for c in certs)
 
 
 class TestTagReuse:
@@ -76,10 +82,12 @@ class TestTagReuse:
                 yield ctx.barrier()
 
         eng.run(prog)
-        issues = lint_schedule(eng.trace, 2)
-        reuse = [i for i in issues if i.kind == "tag-reuse"]
+        report = run_passes(ir_from_trace(eng.trace, buffers=eng.buffers))
+        reuse = [f for f in report.findings if f.code == "SA-DL-TAG-REUSE"]
         assert len(reuse) == 1
-        assert reuse[0].tag == ("flag",)
+        assert reuse[0].severity == "warning"
+        assert report.ok  # a hygiene warning, not a broken schedule
+        assert "('flag',)" in reuse[0].message
         assert "unique per step" in reuse[0].message
 
     def test_fresh_tags_per_step_clean(self):
@@ -97,20 +105,8 @@ class TestTagReuse:
                 yield ctx.barrier()
 
         eng.run(prog)
-        assert lint_schedule(eng.trace, 2) == []
-
-    def test_run_boundary_resets_tag_tracking(self):
-        eng = Engine(2, functional=True, trace=True)
-
-        def prog(ctx):
-            if ctx.rank == 0:
-                ctx.post(("flag",))
-            else:
-                yield ctx.wait(("flag",), 1)
-
-        eng.run(prog)
-        eng.run(prog)  # same tag, new run: engine cleared posts
-        assert lint_schedule(eng.trace, 2) == []
+        ir = ir_from_trace(eng.trace, buffers=eng.buffers)
+        assert DeadlockPass().run(ir) == []
 
 
 class TestBarrierMismatch:
@@ -127,20 +123,24 @@ class TestBarrierMismatch:
 
         with pytest.raises(DeadlockError):
             eng.run(prog)
-        issues = lint_schedule(eng.trace, 3)
-        mism = [i for i in issues if i.kind == "barrier-group-mismatch"]
-        assert mism
-        assert "overlap" in mism[0].message
+        report, (mism,) = _findings(eng, "SA-DL-BARRIER-MISMATCH")
+        assert mism.severity == "error" and not report.ok
+        assert "overlap on ranks (1,)" in mism.message
+        assert "barrier(0, 1)" in mism.message
+        assert "barrier(1, 2)" in mism.message
 
 
 class TestTraceIntegrity:
     def test_truncated_trace_unmatched_post_ref(self):
+        """A wait whose matched post is not in the trace would lose its
+        happens-before edge; the lift refuses it instead."""
         trace = Trace()
+        trace.add(OpRecord(rank=1, kind="wait", nbytes=0, tag=("x",),
+                           count=1))
         trace.add_event(SyncEvent(seq=5, rank=1, kind="wait",
                                   tag=("x",), count=1, matched=(3,)))
-        issues = lint_schedule(trace, 2)
-        assert [i.kind for i in issues] == ["unmatched-post-ref"]
-        assert "truncated" in issues[0].message
+        with pytest.raises(ValueError, match="truncated"):
+            ir_from_trace(trace)
 
 
 class TestSlotOverwrite:
@@ -158,7 +158,7 @@ class TestSlotOverwrite:
             yield
 
         eng.run(prog)
-        report = analyze_trace(eng.trace, 2)
-        slots = [i for i in report.issues if i.kind == "slot-overwrite"]
-        assert len(slots) == 1
-        assert "consumed flag" in slots[0].message
+        report = run_passes(ir_from_trace(eng.trace, buffers=eng.buffers))
+        (race,) = [f for f in report.findings if f.code == "SA-BUF-RACE"]
+        assert "rank 0 reads win[0, 64)" in race.message
+        assert "unordered write may be in flight" in race.message

@@ -7,18 +7,18 @@ schedule; a missing synchronization shows up as a divergent result (or
 a deadlock).  This is the closest a deterministic simulator gets to a
 race detector — and it exercised real bugs during development.
 
-Every fuzzed run is additionally handed to
-:func:`repro.analysis.analyze_trace`: the happens-before race detector
-must certify the schedule has *no* unordered conflicting accesses under
-any interleaving, not merely that this particular interleaving produced
-the right bytes.
+Every fuzzed run is additionally lifted into the schedule IR and
+linted: the pass pipeline must certify the schedule has *no* unordered
+conflicting accesses under any interleaving, not merely that this
+particular interleaving produced the right bytes.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import analyze_trace
+from repro.analysis.static.extract import ir_from_trace
+from repro.analysis.static.passes import run_passes
 from repro.collectives.allgather import PIPELINED_ALLGATHER
 from repro.collectives.bcast import PIPELINED_BCAST
 from repro.collectives.common import (
@@ -45,7 +45,7 @@ FUZZ_TARGETS = [
 
 
 def _assert_clean(eng):
-    report = analyze_trace(eng.trace, eng.nranks)
+    report = run_passes(ir_from_trace(eng.trace, buffers=eng.buffers))
     assert report.ok, report.describe()
 
 
@@ -53,7 +53,7 @@ def _result_of(alg, schedule_seed, p=5, s=4096):
     eng = Engine(p, functional=True, seed=7, schedule_seed=schedule_seed,
                  trace=True)
     run_reduce_collective(alg, eng, s, imax=512)
-    # the runner verifies against the oracle; the analyzer proves the
+    # the runner verifies against the oracle; the passes prove the
     # schedule sound under *every* interleaving, not just this one
     _assert_clean(eng)
     return True

@@ -78,9 +78,9 @@ class TestProfiler:
         # surface stays reachable, unprofiled
         assert profiled.comm is profiled.library.comm
         assert profiled.config is profiled.library.config
-        report = profiled.analyze("allreduce", 8 * KB)
+        report = profiled.lint("allreduce", 8 * KB)
         assert report.ok
-        assert not profiled.records  # analyze is not a collective call
+        assert not profiled.records  # lint is not a collective call
 
     def test_dunders_keep_standard_semantics(self, profiled):
         import copy

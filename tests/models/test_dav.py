@@ -134,6 +134,18 @@ class TestSimulatorMatchesFormulasExactly:
         res = run_reduce_collective(alg, eng, s, **kw)
         assert res.dav == implementation_dav(kind, name, s, 8, m=2, k=2)
 
+    @pytest.mark.parametrize("kind,name,alg,kw", CASES,
+                             ids=[f"{k}-{n}" for k, n, _, _ in CASES])
+    @pytest.mark.parametrize("p", [3, 5, 6, 7])
+    def test_exact_non_power_of_two(self, kind, name, alg, kw, p):
+        """Non-power-of-two rank counts: Rabenseifner's folding
+        preamble and staged block delivery, singleton sockets, partial
+        tree levels — the rows stay byte-exact."""
+        s = 16 * KB
+        eng = Engine(p, machine=TINY, functional=False)
+        res = run_reduce_collective(alg, eng, s, **kw)
+        assert res.dav == implementation_dav(kind, name, s, p, m=2, k=2)
+
     def test_paper_vs_impl_documented_gaps(self):
         """The documented O(s) reconciliations between paper rows and
         implementation counts."""

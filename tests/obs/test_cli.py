@@ -38,7 +38,7 @@ class TestTraceCommand:
                        "-n", "4", "-s", "4096"])
         assert rc == 0
         text = capsys.readouterr().out
-        assert "DAV ok" in text and "perfetto" in text
+        assert "SA-DAV-OK" in text and "perfetto" in text
         doc = json.loads(out.read_text())
         validate_chrome_trace(doc)
         assert doc["otherData"]["collective"] == "ma/reduce_scatter"

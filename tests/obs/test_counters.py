@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.analysis.dav import traced_dav
+from repro.analysis.static.extract import ir_from_trace
 from repro.collectives.common import run_reduce_collective
 from repro.collectives.ma import MA_ALLREDUCE, MA_REDUCE_SCATTER
 from repro.models.dav import implementation_dav
@@ -33,10 +33,11 @@ class TestFromTrace:
 
     def test_trace_dav_equals_analyzer_dav(self):
         # the acceptance cross-check: the counter registry's Theorem 3.1
-        # accounting is exactly what analysis.dav computes node-wide
+        # accounting is exactly what the lifted schedule IR sums
         eng, _ = traced_result()
         c = Counters.from_trace(eng.trace, nranks=P)
-        assert c.trace_dav == traced_dav(eng.trace)
+        ir = ir_from_trace(eng.trace, buffers=eng.buffers)
+        assert c.trace_dav == ir.static_dav()
 
     @pytest.mark.parametrize("alg,kind", [
         (MA_REDUCE_SCATTER, "reduce_scatter"),
