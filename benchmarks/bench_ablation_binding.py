@@ -10,7 +10,7 @@ is largely immune.
 
 import pytest
 
-from repro.collectives.common import run_reduce_collective
+from repro.collectives.common import run_collective
 from repro.collectives.ma import MA_ALLREDUCE
 from repro.collectives.socket_aware import SOCKET_MA_ALLREDUCE
 from repro.machine.spec import KB, MB, NODE_A
@@ -36,7 +36,7 @@ def run_ablation():
             for name, alg in (("MA", MA_ALLREDUCE),
                               ("socket-MA", SOCKET_MA_ALLREDUCE)):
                 eng = Engine(64, machine=machine, functional=False)
-                row[name] = run_reduce_collective(
+                row[name] = run_collective(
                     alg, eng, s, copy_policy="adaptive", imax=256 * KB,
                     iterations=2,
                 ).time

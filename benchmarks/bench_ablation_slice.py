@@ -10,7 +10,7 @@ round).
 
 import pytest
 
-from repro.collectives.common import run_reduce_collective
+from repro.collectives.common import run_collective
 from repro.collectives.ma import MA_ALLREDUCE
 from repro.machine.spec import KB, MB, NODE_A
 from repro.sim.engine import Engine
@@ -29,7 +29,7 @@ def run_ablation():
     out = {}
     for imax in IMAXES:
         eng = Engine(64, machine=NODE_A, functional=False)
-        out[imax] = run_reduce_collective(
+        out[imax] = run_collective(
             MA_ALLREDUCE, eng, S, copy_policy="adaptive", imax=imax,
             iterations=2,
         ).time

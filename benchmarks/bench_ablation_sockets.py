@@ -9,7 +9,7 @@ plain MA pipeline on each machine.
 
 import pytest
 
-from repro.collectives.common import run_reduce_collective
+from repro.collectives.common import run_collective
 from repro.collectives.ma import MA_ALLREDUCE
 from repro.collectives.socket_aware import SOCKET_MA_ALLREDUCE
 from repro.machine.spec import KB, MB, NODE_A, NODE_D
@@ -34,7 +34,7 @@ def run_ablation():
             for name, alg in (("socket-MA", SOCKET_MA_ALLREDUCE),
                               ("MA", MA_ALLREDUCE)):
                 eng = Engine(64, machine=machine, functional=False)
-                res = run_reduce_collective(
+                res = run_collective(
                     alg, eng, s, copy_policy="adaptive", imax=256 * KB,
                     iterations=2,
                 )

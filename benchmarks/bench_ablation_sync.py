@@ -11,7 +11,7 @@ messages (sync-bound) to DPML2 and large ones (bandwidth-bound) to MA.
 
 import pytest
 
-from repro.collectives.common import run_reduce_collective
+from repro.collectives.common import run_collective
 from repro.collectives.dpml import DPML2_ALLREDUCE
 from repro.collectives.ma import MA_ALLREDUCE
 from repro.machine.spec import KB, NODE_A, US
@@ -37,7 +37,7 @@ def run_ablation():
         for name, alg in (("MA", MA_ALLREDUCE),
                           ("two-level DPML", DPML2_ALLREDUCE)):
             eng = Engine(64, machine=machine, functional=False)
-            row[name] = run_reduce_collective(
+            row[name] = run_collective(
                 alg, eng, S, copy_policy="adaptive", imax=256 * KB,
                 iterations=2,
             ).time

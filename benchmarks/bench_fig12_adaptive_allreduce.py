@@ -14,8 +14,8 @@ on the socket-aware MA all-reduce.  Paper shape:
 import pytest
 
 from repro.bench import Benchmark, SweepSpec, reduce_spec
-from repro.bench.registry import platform_imax
 from repro.bench.executor import run_sweep_table
+from repro.collectives.switching import platform_imax
 from repro.machine.spec import KB, MB
 from repro.models.nt_model import nt_switch_message_size
 

@@ -10,7 +10,7 @@ paper's own analytical tables.
 
 import pytest
 
-from repro.collectives.common import run_reduce_collective
+from repro.collectives.common import run_collective
 from repro.collectives.ma import MA_ALLREDUCE
 from repro.collectives.ring import RING_ALLREDUCE
 from repro.collectives.socket_aware import SOCKET_MA_ALLREDUCE
@@ -38,7 +38,7 @@ def run_validation():
         out[name] = {}
         for s in SIZES:
             eng = Engine(64, machine=NODE_A, functional=False)
-            sim = run_reduce_collective(
+            sim = run_collective(
                 alg, eng, s,
                 copy_policy="adaptive" if nt else "memmove",
                 imax=256 * KB, iterations=2,

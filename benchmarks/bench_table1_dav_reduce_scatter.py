@@ -11,7 +11,7 @@ from repro.collectives.ma import MA_REDUCE_SCATTER
 from repro.collectives.rabenseifner import RABENSEIFNER_REDUCE_SCATTER
 from repro.collectives.ring import RING_REDUCE_SCATTER
 from repro.collectives.socket_aware import SOCKET_MA_REDUCE_SCATTER
-from repro.collectives.common import run_reduce_collective
+from repro.collectives.common import run_collective
 from repro.library.communicator import Communicator
 from repro.machine.spec import MB, NODE_A
 from repro.models.dav import dav_reduce_scatter
@@ -39,7 +39,7 @@ def run_table():
     out = []
     for label, key, alg, formula in ROWS:
         comm = Communicator(P, machine=NODE_A, functional=False)
-        res = run_reduce_collective(alg, comm.engine, S, imax=256 * 1024)
+        res = run_collective(alg, comm.engine, S, imax=256 * 1024)
         paper = dav_reduce_scatter(key, S, P, m=2, paper=True)
         impl = dav_reduce_scatter(key, S, P, m=2, paper=False)
         out.append((label, formula, paper, impl, res.dav))

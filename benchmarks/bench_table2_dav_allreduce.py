@@ -9,7 +9,7 @@ from repro.collectives.rabenseifner import RABENSEIFNER_ALLREDUCE
 from repro.collectives.rg import RGAllreduce
 from repro.collectives.ring import RING_ALLREDUCE
 from repro.collectives.socket_aware import SOCKET_MA_ALLREDUCE
-from repro.collectives.common import run_reduce_collective
+from repro.collectives.common import run_collective
 from repro.library.communicator import Communicator
 from repro.machine.spec import KB, MB, NODE_A
 from repro.models.dav import dav_allreduce
@@ -40,7 +40,7 @@ def run_table():
     out = []
     for label, key, alg, formula, kw in ROWS:
         comm = Communicator(P, machine=NODE_A, functional=False)
-        res = run_reduce_collective(alg, comm.engine, S, imax=256 * KB, **kw)
+        res = run_collective(alg, comm.engine, S, imax=256 * KB, **kw)
         paper = dav_allreduce(key, S, P, m=2, k=K, paper=True)
         impl = dav_allreduce(key, S, P, m=2, k=K, paper=False)
         out.append((label, formula, paper, impl, res.dav))

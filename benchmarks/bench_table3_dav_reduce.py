@@ -7,7 +7,7 @@ from repro.collectives.dpml import DPML_REDUCE
 from repro.collectives.ma import MA_REDUCE
 from repro.collectives.rg import RGReduce
 from repro.collectives.socket_aware import SOCKET_MA_REDUCE
-from repro.collectives.common import run_reduce_collective
+from repro.collectives.common import run_collective
 from repro.library.communicator import Communicator
 from repro.machine.spec import KB, MB, NODE_A
 from repro.models.dav import dav_reduce
@@ -35,7 +35,7 @@ def run_table():
     out = []
     for label, key, alg, formula in ROWS:
         comm = Communicator(P, machine=NODE_A, functional=False)
-        res = run_reduce_collective(alg, comm.engine, S, imax=256 * KB)
+        res = run_collective(alg, comm.engine, S, imax=256 * KB)
         paper = dav_reduce(key, S, P, m=2, k=K, paper=True)
         impl = dav_reduce(key, S, P, m=2, k=K, paper=False)
         out.append((label, formula, paper, impl, res.dav))

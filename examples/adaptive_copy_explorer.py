@@ -16,7 +16,7 @@ Run:  python examples/adaptive_copy_explorer.py
 """
 
 from repro import Communicator, NODE_A, NODE_B
-from repro.collectives.common import run_reduce_collective
+from repro.collectives.common import run_collective
 from repro.collectives.socket_aware import SOCKET_MA_ALLREDUCE
 from repro.copyengine.stream import SlicedCopyBenchmark
 from repro.models.nt_model import nt_switch_message_size
@@ -55,7 +55,7 @@ def payoff() -> None:
         row = []
         for policy in ("t", "nt", "adaptive"):
             comm = Communicator(64, machine=NODE_A)
-            res = run_reduce_collective(
+            res = run_collective(
                 SOCKET_MA_ALLREDUCE, comm.engine, s, copy_policy=policy,
                 imax=256 * KB, iterations=2,
             )

@@ -15,7 +15,7 @@ Run:  python examples/reduction_tree_optimality.py
 from collections import Counter
 
 from repro import Communicator, NODE_A
-from repro.collectives.common import run_reduce_collective
+from repro.collectives.common import run_collective
 from repro.collectives.ma import MA_REDUCE_SCATTER
 from repro.collectives.reduction_tree import (
     dpml_tree,
@@ -57,7 +57,7 @@ def simulator_agrees() -> None:
     s = 64 * KB
     comm = Communicator(64, machine=NODE_A, trace=True)
     comm.engine.trace.records.clear()
-    run_reduce_collective(MA_REDUCE_SCATTER, comm.engine, s, imax=256 * KB)
+    run_collective(MA_REDUCE_SCATTER, comm.engine, s, imax=256 * KB)
     copied = comm.engine.trace.copy_bytes()
     print(f"   message s = {s >> 10} KB on 64 ranks: bytes copied into "
           f"shared memory = {copied >> 10} KB")

@@ -15,10 +15,7 @@ Run:  python examples/schedule_timeline.py
 """
 
 from repro.collectives.bcast import PIPELINED_BCAST
-from repro.collectives.common import (
-    run_bcast_collective,
-    run_reduce_collective,
-)
+from repro.collectives.common import run_collective
 from repro.collectives.dpml import DPML_REDUCE_SCATTER
 from repro.collectives.ma import MA_REDUCE_SCATTER
 from repro.machine.spec import NODE_A
@@ -44,17 +41,15 @@ def main() -> None:
     s = 64 * KB
     show(
         "MA reduce-scatter (one copy per group, then the reduce chain)",
-        lambda eng: run_reduce_collective(MA_REDUCE_SCATTER, eng, s,
-                                          imax=2 * KB),
+        lambda eng: run_collective(MA_REDUCE_SCATTER, eng, s, imax=2 * KB),
     )
     show(
         "DPML reduce-scatter (copy-all phase, barrier, parallel reduce)",
-        lambda eng: run_reduce_collective(DPML_REDUCE_SCATTER, eng, s),
+        lambda eng: run_collective(DPML_REDUCE_SCATTER, eng, s),
     )
     show(
         "pipelined broadcast (root copy-in vs reader copy-out overlap)",
-        lambda eng: run_bcast_collective(PIPELINED_BCAST, eng, s,
-                                         imax=4 * KB),
+        lambda eng: run_collective(PIPELINED_BCAST, eng, s, imax=4 * KB),
     )
 
 

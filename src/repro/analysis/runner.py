@@ -15,12 +15,7 @@ from typing import Callable, List
 
 from repro.collectives.allgather import PIPELINED_ALLGATHER
 from repro.collectives.bcast import PIPELINED_BCAST
-from repro.collectives.common import (
-    ALIGN,
-    run_allgather_collective,
-    run_bcast_collective,
-    run_reduce_collective,
-)
+from repro.collectives.common import ALIGN, run_collective
 from repro.collectives.ordered import ORDERED_ALLREDUCE, ORDERED_REDUCE
 from repro.collectives.vector import run_allgather_v, run_reduce_scatter_v
 from repro.library.mpi import ALGORITHMS
@@ -45,9 +40,12 @@ class Case:
         return f"{self.collective}/{self.kind}"
 
 
-def _reduce_runner(alg) -> Callable[[Engine, int], None]:
+def _runner(alg) -> Callable[[Engine, int], None]:
+    """Run ``alg``; a reduction's slice cap follows ``s / p``, the
+    pipelined bcast/allgather's ``s / 4``."""
     def run(eng: Engine, s: int) -> None:
-        run_reduce_collective(alg, eng, s, imax=max(512, s // eng.nranks))
+        div = 4 if alg.kind in ("bcast", "allgather") else eng.nranks
+        run_collective(alg, eng, s, imax=max(512, s // div))
     return run
 
 
@@ -70,18 +68,14 @@ def _cases() -> List[Case]:
         for kind, alg in kinds.items():
             k = int(getattr(alg, "branch", 2))
             cases.append(Case(collective, kind, name,
-                              _reduce_runner(alg), k=k,
+                              _runner(alg), k=k,
                               locality=str(getattr(alg, "locality", ""))))
-    cases.append(Case("bcast", "bcast", "", lambda eng, s:
-                      run_bcast_collective(PIPELINED_BCAST, eng, s,
-                                           imax=max(512, s // 4))))
-    cases.append(Case("allgather", "allgather", "", lambda eng, s:
-                      run_allgather_collective(PIPELINED_ALLGATHER, eng, s,
-                                               imax=max(512, s // 4))))
+    cases.append(Case("bcast", "bcast", "", _runner(PIPELINED_BCAST)))
+    cases.append(Case("allgather", "allgather", "",
+                      _runner(PIPELINED_ALLGATHER)))
     cases.append(Case("ordered", "allreduce", "",
-                      _reduce_runner(ORDERED_ALLREDUCE)))
-    cases.append(Case("ordered", "reduce", "",
-                      _reduce_runner(ORDERED_REDUCE)))
+                      _runner(ORDERED_ALLREDUCE)))
+    cases.append(Case("ordered", "reduce", "", _runner(ORDERED_REDUCE)))
     cases.append(Case("vector", "reduce_scatter_v", "ma", lambda eng, s:
                       run_reduce_scatter_v(eng, _ragged_counts(s,
                                            eng.nranks))))

@@ -33,6 +33,8 @@ import json
 from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.models.dav import op_touched_bytes
+
 #: schema tag for serialized IRs
 IR_SCHEMA = "repro-ir/1"
 
@@ -344,16 +346,12 @@ class ScheduleIR:
     # ---- accounting ---------------------------------------------------
 
     def static_dav(self) -> float:
-        """Theorem 3.1 accounting over the DAG: ``2n`` bytes per copy,
-        ``3n`` per reduce — byte-identical to the obs counters'
-        ``trace_dav`` on the source trace."""
-        total = 0.0
-        for n in self.nodes:
-            if n.kind == "copy":
-                total += 2.0 * n.nbytes
-            elif n.kind.startswith("reduce"):
-                total += 3.0 * n.nbytes
-        return total
+        """Theorem 3.1 accounting over the DAG
+        (:func:`repro.models.dav.op_touched_bytes` summed) —
+        byte-identical to the obs counters' ``trace_dav`` on the source
+        trace."""
+        return float(sum(op_touched_bytes(n.kind, n.nbytes)
+                         for n in self.nodes))
 
     def signature(self) -> dict:
         """Stable shape summary, used by the golden-IR snapshot tests.

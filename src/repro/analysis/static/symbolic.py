@@ -69,7 +69,12 @@ from repro.analysis.static.ir import (
 from repro.analysis.static.passes import BufferPass, Pass, _cap
 from repro.analysis.static.report import Finding, Report
 from repro.machine.spec import MachineSpec
-from repro.models.dav import REL_TOL, predicted_dav
+from repro.models.dav import (
+    REL_TOL,
+    op_touch_factor,
+    predicted_dav,
+    table_row,
+)
 from repro.models.nt_model import decision_guards, region_modulus
 
 #: schema tag for serialized region certificates
@@ -309,20 +314,16 @@ class SymbolicSchedule:
     # ---- accounting --------------------------------------------------
 
     def dav(self) -> Affine:
-        """Theorem 3.1 accounting as a symbolic polynomial: ``2n`` per
-        copy, ``3n`` per reduce, summed over the DAG."""
+        """Theorem 3.1 accounting as a symbolic polynomial:
+        :func:`repro.models.dav.op_touch_factor` times each op's bytes,
+        summed over the DAG."""
         a = Fraction(0)
         b = Fraction(0)
         for n in self.nodes:
-            kind = n.shape["kind"]
-            if kind == "copy":
-                w = 2
-            elif kind.startswith("reduce"):
-                w = 3
-            else:
-                continue
-            a += w * n.nbytes.a
-            b += w * n.nbytes.b
+            w = op_touch_factor(n.shape["kind"])
+            if w:  # sync ops move no bytes; skip their Fraction math
+                a += w * n.nbytes.a
+                b += w * n.nbytes.b
         return Affine(a, b)
 
     def signature(self) -> dict:
@@ -989,18 +990,6 @@ def probe_partners(kind: str, base: int, p: int, machine: MachineSpec, *,
     return sorted(chosen)
 
 
-def _table_row(kind: str, algorithm: str) -> str:
-    """Map a bench cell's display label (``dpml2-allreduce``) onto the
-    ``models.dav`` Table 1-3 row name (``dpml2``) so the symbolic DAV
-    pass checks the polynomial identity instead of skipping.  bcast and
-    allgather key on kind alone, so the pipelined label maps to ``""``
-    (mirroring ``YHCCL.lint``'s registry recovery)."""
-    suffix = "-" + kind.replace("_", "-")
-    name = algorithm[:-len(suffix)] if algorithm.endswith(suffix) \
-        else algorithm
-    return "" if name == "pipelined" else name
-
-
 def capture_region_ir(spec, machine: MachineSpec, p: int,
                       nbytes: int) -> ScheduleIR:
     """One full-fidelity capture for certification: the bench cell run
@@ -1022,7 +1011,7 @@ def capture_region_ir(spec, machine: MachineSpec, p: int,
         "collective": spec.kind,
         "kind": spec.kind,
         "algorithm": cell.algorithm,
-        "dav_algorithm": _table_row(spec.kind, cell.algorithm),
+        "dav_algorithm": table_row(spec.kind, cell.algorithm),
         "nranks": p,
         "s": nbytes,
         "m": machine.sockets,

@@ -11,13 +11,6 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro.machine.spec import KB, MachineSpec
-
-
-def platform_imax(machine: MachineSpec) -> int:
-    """The paper's tuned MA slice caps: 256 KB NodeA, 128 KB NodeB."""
-    return {"NodeA": 256 * KB, "NodeB": 128 * KB}.get(machine.name, 128 * KB)
-
 
 def known_algorithms() -> "list[str]":
     from repro.library.mpi import ALGORITHMS

@@ -1,9 +1,7 @@
 """Per-implementation runner factories for the benchmark sweeps.
 
 A *cell* runner is ``fn(comm, nbytes) -> CellResult`` (simulated time,
-DAV and the algorithm that ran); the legacy ``*_runner`` factories wrap
-the same logic and return bare seconds, which is what the historical
-``benchmarks/runners.py`` interface promised.
+DAV and the algorithm that ran).
 
 The tuning mirrors Section 5.3: MA slice caps of 256 KB (NodeA) /
 128 KB (NodeB), DPML's 8 KB reduction block, RG with branch 2 and
@@ -17,12 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.bench.registry import platform_imax
-from repro.collectives.common import (
-    run_allgather_collective,
-    run_bcast_collective,
-    run_reduce_collective,
-)
+from repro.collectives.common import run_collective
+from repro.collectives.switching import platform_imax
 
 #: steady-state measurement: warm-up iteration + measured iteration,
 #: mirroring the paper's OSU-style loops
@@ -68,40 +62,14 @@ def _cell(res, algorithm: str) -> CellResult:
     )
 
 
-def reduce_cell(alg, policy: str = "memmove", imax: Optional[int] = None,
-                root: int = 0):
-    """Directly drive one reduction-family algorithm."""
+def algorithm_cell(alg, policy: str = "memmove",
+                   imax: Optional[int] = None, root: int = 0):
+    """Directly drive one algorithm (of any kind)."""
 
     def run(comm, nbytes) -> CellResult:
-        res = run_reduce_collective(
+        res = run_collective(
             alg, comm.engine, nbytes, copy_policy=policy,
             imax=resolve_imax(imax, comm.machine), root=root,
-            iterations=ITERATIONS,
-        )
-        return _cell(res, alg.name)
-
-    return run
-
-
-def bcast_cell(alg, policy: str = "memmove", imax: Optional[int] = None,
-               root: int = 0):
-    def run(comm, nbytes) -> CellResult:
-        res = run_bcast_collective(
-            alg, comm.engine, nbytes, copy_policy=policy,
-            imax=resolve_imax(imax, comm.machine), root=root,
-            iterations=ITERATIONS,
-        )
-        return _cell(res, alg.name)
-
-    return run
-
-
-def allgather_cell(alg, policy: str = "memmove",
-                   imax: Optional[int] = None):
-    def run(comm, nbytes) -> CellResult:
-        res = run_allgather_collective(
-            alg, comm.engine, nbytes, copy_policy=policy,
-            imax=resolve_imax(imax, comm.machine),
             iterations=ITERATIONS,
         )
         return _cell(res, alg.name)
@@ -133,27 +101,3 @@ def vendor_cell(vendor: str, kind: str):
                           algorithm=res.algorithm, counters=res.counters)
 
     return run
-
-
-# ---------------------------------------------------------------------------
-# Legacy seconds-returning factories (the benchmarks/runners.py surface)
-# ---------------------------------------------------------------------------
-
-
-def _seconds(cell_factory):
-    def factory(*args, **kw):
-        run = cell_factory(*args, **kw)
-
-        def seconds(comm, nbytes) -> float:
-            return run(comm, nbytes).time
-
-        return seconds
-
-    return factory
-
-
-reduce_runner = _seconds(reduce_cell)
-bcast_runner = _seconds(bcast_cell)
-allgather_runner = _seconds(allgather_cell)
-yhccl_runner = _seconds(yhccl_cell)
-vendor_runner = _seconds(vendor_cell)

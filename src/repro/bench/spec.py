@@ -12,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional, Tuple
 
+from repro.bench.registry import resolve_algorithm
 from repro.bench.runners import (
     CellResult,
-    allgather_cell,
-    bcast_cell,
-    reduce_cell,
+    algorithm_cell,
     vendor_cell,
     yhccl_cell,
 )
@@ -96,14 +95,8 @@ class RunnerSpec:
             from repro.bench.hierarchy import hierarchy_cell
 
             return hierarchy_cell(self.vendor, dict(self.params))
-        from repro.bench.registry import resolve_algorithm
-
         alg = resolve_algorithm(self.algorithm, self.kind, self.params)
-        if self.family == "reduce":
-            return reduce_cell(alg, self.policy, self.imax, self.root)
-        if self.family == "bcast":
-            return bcast_cell(alg, self.policy, self.imax, self.root)
-        return allgather_cell(alg, self.policy, self.imax)
+        return algorithm_cell(alg, self.policy, self.imax, self.root)
 
 
 def reduce_spec(algorithm: str, kind: str, policy: str = "memmove", *,

@@ -1,10 +1,10 @@
 """Shared infrastructure for collective implementations.
 
 Defines message partitioning, the paper's slice-size rule, the
-environment bundle handed to rank programs, and runner helpers that
-allocate buffers, execute a collective on an
-:class:`~repro.sim.engine.Engine` and (in functional mode) verify the
-result against a numpy oracle.
+environment bundle handed to rank programs, and
+:func:`run_collective`, the one runner: it allocates buffers, executes
+a collective on an :class:`~repro.sim.engine.Engine` and (in
+functional mode) verifies the result against a numpy oracle.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ class CollectiveEnv:
     """Everything a collective rank program needs.
 
     ``sendbufs[r]`` / ``recvbufs[r]`` are per-rank private buffers of
-    ``s`` bytes each (``recv_factor * s`` for allgather-style results);
+    ``s`` bytes each (``p * s`` for an all-gather's result);
     ``shm`` is the node's shared segment; ``op`` the reduction operator.
     ``copy_policy`` selects the store path for data-movement copies:
     ``"t"``, ``"nt"``, ``"memmove"`` or ``"adaptive"`` (Algorithm 1,
@@ -163,8 +163,11 @@ class CollectiveEnv:
 
 
 # ---------------------------------------------------------------------------
-# Runner helpers with functional verification
+# The runner, with functional verification
 # ---------------------------------------------------------------------------
+
+#: the collectives :func:`run_collective` runs (``algorithm.kind``)
+KINDS = ("reduce_scatter", "reduce", "allreduce", "bcast", "allgather")
 
 
 def _oracle_reduce(env: CollectiveEnv) -> np.ndarray:
@@ -190,21 +193,22 @@ def make_env(
     imax: int = IMAX_DEFAULT,
     imin: int = IMIN_DEFAULT,
     root: int = 0,
-    recv_factor: int = 1,
     params: Optional[dict] = None,
 ) -> CollectiveEnv:
     """Allocate buffers for a collective and build its environment.
 
-    ``algorithm`` must provide ``name`` and ``shm_bytes(env)``; the shm
-    segment is sized after the env exists (it may depend on the slice
-    size), so a placeholder 1-byte segment is replaced once known.
+    ``algorithm`` must provide ``name``, ``kind`` and ``shm_bytes(env)``;
+    an all-gather's receive buffers hold all ``p`` contributions.  The
+    shm segment is sized after the env exists (it may depend on the
+    slice size), so a placeholder 1-byte segment is replaced once known.
     """
     p = engine.nranks
+    recv_bytes = s * p if algorithm.kind == "allgather" else s
     sendbufs = [
         engine.alloc(r, s, random=True, name=f"send[{r}]") for r in range(p)
     ]
     recvbufs = [
-        engine.alloc(r, s * recv_factor, fill=0.0, name=f"recv[{r}]")
+        engine.alloc(r, recv_bytes, fill=0.0, name=f"recv[{r}]")
         for r in range(p)
     ]
     env = CollectiveEnv(
@@ -227,22 +231,28 @@ def make_env(
     return env
 
 
-def run_reduce_collective(algorithm, engine: Engine, s: int, *,
-                          op: str = "sum", copy_policy: str = "t",
-                          imax: int = IMAX_DEFAULT, imin: int = IMIN_DEFAULT,
-                          root: int = 0, verify: Optional[bool] = None,
-                          params: Optional[dict] = None,
-                          iterations: int = 1) -> RunResult:
-    """Run a reduction-family collective and verify functionally.
+def run_collective(algorithm, engine: Engine, s: int, *,
+                   op: str = "sum", copy_policy: str = "t",
+                   imax: int = IMAX_DEFAULT, imin: int = IMIN_DEFAULT,
+                   root: int = 0, verify: Optional[bool] = None,
+                   params: Optional[dict] = None,
+                   iterations: int = 1) -> RunResult:
+    """Run one collective and verify it functionally.
 
-    ``algorithm.kind`` must be one of ``"reduce_scatter"``, ``"reduce"``,
-    ``"allreduce"``.  Verification compares receiving buffers with the
-    numpy oracle; it is on by default in functional mode.
+    ``algorithm.kind`` names the collective, one of :data:`KINDS`; ``s``
+    is the per-rank message size (an all-gather's result is ``p * s``).
+    Verification compares the receiving buffers with a numpy oracle; it
+    is on by default in functional mode.
 
     ``iterations > 1`` re-runs the collective on the same buffers and
     reports the *last* run — the steady-state (warm-cache) measurement
     the OSU-style loops of the paper's evaluation produce.
     """
+    if algorithm.kind not in KINDS:
+        raise ValueError(
+            f"cannot run {algorithm.name!r}: kind {algorithm.kind!r} is "
+            f"not one of {', '.join(KINDS)}"
+        )
     env = make_env(algorithm, engine=engine, s=s, op=op,
                    copy_policy=copy_policy, imax=imax, imin=imin, root=root,
                    params=params)
@@ -250,89 +260,43 @@ def run_reduce_collective(algorithm, engine: Engine, s: int, *,
     if verify is None:
         verify = engine.functional
     if verify:
-        verify_reduce_result(algorithm.kind, env)
+        _verify(algorithm.kind, env)
     return result
 
 
-def verify_reduce_result(kind: str, env: CollectiveEnv,
-                         rtol: Optional[float] = None) -> None:
-    if rtol is None:
-        # summation order differs between algorithms and the oracle, so
-        # the tolerance follows the payload precision
-        dt = env.engine.dtype
-        rtol = 1e-10 if dt.itemsize >= 8 else 1e-4
-        if dt.kind in "iu":
-            rtol = 0.0
-    expected = _oracle_reduce(env)
-    parts = partition(env.s, env.p)
-    isz = env.engine.dtype.itemsize
-    if kind == "allreduce":
-        for r in range(env.p):
-            np.testing.assert_allclose(
-                env.recvbufs[r].array(), expected, rtol=rtol,
-                err_msg=f"allreduce result wrong on rank {r}",
-            )
-    elif kind == "reduce":
-        np.testing.assert_allclose(
-            env.recvbufs[env.root].array(), expected, rtol=rtol,
-            err_msg="reduce result wrong at root",
-        )
-    elif kind == "reduce_scatter":
-        for r, (off, length) in enumerate(parts):
-            got = env.recvbufs[r].array()[: length // isz]
-            np.testing.assert_allclose(
-                got, expected[off // isz : (off + length) // isz], rtol=rtol,
-                err_msg=f"reduce_scatter block wrong on rank {r}",
-            )
+def _verify(kind: str, env: CollectiveEnv) -> None:
+    """Check every receiving buffer ``kind`` defines against the oracle.
+
+    Broadcast and all-gather only move bytes, so they must match
+    exactly; a reduction's summation order differs from the oracle's
+    left fold, so its tolerance follows the payload precision.
+    """
+    p, root = env.p, env.root
+    if kind == "bcast":
+        want = env.sendbufs[root].array()
+        checks = [(r, want) for r in range(p) if r != root]
+    elif kind == "allgather":
+        want = np.concatenate([env.sendbufs[r].array() for r in range(p)])
+        checks = [(r, want) for r in range(p)]
     else:
-        raise ValueError(f"unknown reduction kind {kind!r}")
-
-
-def run_bcast_collective(algorithm, engine: Engine, s: int, *,
-                         copy_policy: str = "t", imax: int = IMAX_DEFAULT,
-                         imin: int = IMIN_DEFAULT, root: int = 0,
-                         verify: Optional[bool] = None,
-                         params: Optional[dict] = None,
-                         iterations: int = 1) -> RunResult:
-    """Run a broadcast and check every rank received the root's data."""
-    env = make_env(algorithm, engine=engine, s=s, copy_policy=copy_policy,
-                   imax=imax, imin=imin, root=root, params=params)
-    result = _run_iterated(engine, algorithm, env, iterations)
-    if verify is None:
-        verify = engine.functional
-    if verify:
-        expected = env.sendbufs[root].array()
-        for r in range(env.p):
-            if r == root:
-                continue
-            np.testing.assert_array_equal(
-                env.recvbufs[r].array(), expected,
-                err_msg=f"bcast result wrong on rank {r}",
-            )
-    return result
-
-
-def run_allgather_collective(algorithm, engine: Engine, s: int, *,
-                             copy_policy: str = "t", imax: int = IMAX_DEFAULT,
-                             imin: int = IMIN_DEFAULT,
-                             verify: Optional[bool] = None,
-                             params: Optional[dict] = None,
-                             iterations: int = 1) -> RunResult:
-    """Run an all-gather (per-rank contribution ``s``; result ``p*s``)."""
-    env = make_env(algorithm, engine=engine, s=s, copy_policy=copy_policy,
-                   imax=imax, imin=imin, recv_factor=engine.nranks,
-                   params=params)
-    result = _run_iterated(engine, algorithm, env, iterations)
-    if verify is None:
-        verify = engine.functional
-    if verify:
-        expected = np.concatenate([env.sendbufs[r].array() for r in range(env.p)])
-        for r in range(env.p):
-            np.testing.assert_array_equal(
-                env.recvbufs[r].array(), expected,
-                err_msg=f"allgather result wrong on rank {r}",
-            )
-    return result
+        full = _oracle_reduce(env)
+        if kind == "allreduce":
+            checks = [(r, full) for r in range(p)]
+        elif kind == "reduce":
+            checks = [(root, full)]
+        else:
+            isz = env.engine.dtype.itemsize
+            checks = [(r, full[off // isz:(off + n) // isz])
+                      for r, (off, n) in enumerate(partition(env.s, p))]
+    dt = env.engine.dtype
+    rtol = 0.0 if dt.kind in "iu" else 1e-10 if dt.itemsize >= 8 else 1e-4
+    for r, want in checks:
+        got = env.recvbufs[r].array()[:want.size]
+        msg = f"{kind} result wrong on rank {r}"
+        if kind in ("bcast", "allgather"):
+            np.testing.assert_array_equal(got, want, err_msg=msg)
+        else:
+            np.testing.assert_allclose(got, want, rtol=rtol, err_msg=msg)
 
 
 def _run_iterated(engine: Engine, algorithm, env: CollectiveEnv,

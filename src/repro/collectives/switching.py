@@ -51,6 +51,14 @@ class Selection:
     reason: str
 
 
+def platform_imax(machine) -> int:
+    """The paper's tuned MA slice caps: 256 KB NodeA, 128 KB NodeB (and
+    any other machine); 256 KB when there is no machine model."""
+    if machine is None:
+        return 256 * KB
+    return {"NodeA": 256 * KB, "NodeB": 128 * KB}.get(machine.name, 128 * KB)
+
+
 @dataclass
 class YHCCLConfig:
     """Tuning knobs mirroring the paper's per-platform settings."""

@@ -41,7 +41,7 @@ from repro.library.hierarchy import (
     pipeline_chunks,
     vendor_network_stage,
 )
-from repro.library.profiler import Profiler, ProfileRecord
+from repro.library.profiler import Profiler
 
 __all__ = [
     "Communicator",
@@ -51,7 +51,6 @@ __all__ = [
     "ALGORITHMS",
     "implementations",
     "Profiler",
-    "ProfileRecord",
     "Stage",
     "StageResult",
     "LeafStage",

@@ -16,11 +16,6 @@ from __future__ import annotations
 from repro.collectives import baselines
 from repro.collectives.allgather import PIPELINED_ALLGATHER
 from repro.collectives.bcast import PIPELINED_BCAST
-from repro.collectives.common import (
-    run_allgather_collective,
-    run_bcast_collective,
-    run_reduce_collective,
-)
 from repro.collectives.dpml import (
     DPML2_ALLREDUCE,
     DPML_ALLREDUCE,
@@ -40,8 +35,7 @@ from repro.collectives.socket_aware import (
     SOCKET_MA_REDUCE_SCATTER,
 )
 from repro.library.communicator import Communicator
-from repro.library.yhccl import CollectiveResult
-from repro.obs.counters import Counters
+from repro.library.yhccl import CollectiveLibrary
 
 #: name -> {kind -> algorithm}: the raw algorithm registry
 ALGORITHMS = {
@@ -79,7 +73,7 @@ def implementations() -> list[str]:
     return sorted(baselines.make_vendor_suites().keys())
 
 
-class MPILibrary:
+class MPILibrary(CollectiveLibrary):
     """A vendor MPI implementation's collectives on the simulated node."""
 
     def __init__(self, comm: Communicator, vendor: str, *,
@@ -94,50 +88,7 @@ class MPILibrary:
         self.suite = suites[vendor]
         self.imax = imax
 
-    def _run(self, kind: str, nbytes: int, *, iterations: int = 1,
-             **kw) -> CollectiveResult:
+    def _choose(self, kind: str, nbytes: int, op: str):
         if kind not in self.suite:
             raise ValueError(f"{self.vendor} model lacks {kind}")
-        alg, policy = self.suite[kind]
-        runner = {
-            "reduce_scatter": run_reduce_collective,
-            "reduce": run_reduce_collective,
-            "allreduce": run_reduce_collective,
-            "bcast": run_bcast_collective,
-            "allgather": run_allgather_collective,
-        }[kind]
-        res = runner(alg, self.comm.engine, nbytes, copy_policy=policy,
-                     imax=self.imax, iterations=iterations, **kw)
-        return CollectiveResult(
-            kind=kind,
-            nbytes=nbytes,
-            time=res.time,
-            dav=res.traffic.dav if res.traffic else 0,
-            memory_traffic=res.traffic.memory_traffic if res.traffic else 0,
-            sync_count=res.sync_count,
-            algorithm=alg.name,
-            copy_policy=policy,
-            counters=Counters.from_run(res).snapshot(),
-        )
-
-    def allreduce(self, nbytes: int, *, op: str = "sum",
-                  iterations: int = 1) -> CollectiveResult:
-        return self._run("allreduce", nbytes, op=op, iterations=iterations)
-
-    def reduce(self, nbytes: int, *, op: str = "sum", root: int = 0,
-               iterations: int = 1) -> CollectiveResult:
-        return self._run("reduce", nbytes, op=op, root=root,
-                         iterations=iterations)
-
-    def reduce_scatter(self, nbytes: int, *, op: str = "sum",
-                       iterations: int = 1) -> CollectiveResult:
-        return self._run("reduce_scatter", nbytes, op=op,
-                         iterations=iterations)
-
-    def bcast(self, nbytes: int, *, root: int = 0,
-              iterations: int = 1) -> CollectiveResult:
-        return self._run("bcast", nbytes, root=root, iterations=iterations)
-
-    def allgather(self, nbytes: int,
-                  iterations: int = 1) -> CollectiveResult:
-        return self._run("allgather", nbytes, iterations=iterations)
+        return self.suite[kind]

@@ -99,7 +99,7 @@ class OSUBenchmark:
             call = getattr(lib, self.collective)
             total = self.warmups + self.iterations
             res = call(size, iterations=total)
-            validated = self.validate  # run_* helpers verify when functional
+            validated = self.validate  # run_collective checks results
             rows.append(
                 OSUResult(size=size, avg_latency_us=res.time * 1e6,
                           validated=validated)

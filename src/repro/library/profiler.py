@@ -1,7 +1,8 @@
 """PMPI-style collective profiler (Section 5.1's profiling tool).
 
 Wraps any library facade (:class:`~repro.library.yhccl.YHCCL` or
-:class:`~repro.library.mpi.MPILibrary`) and records every collective
+:class:`~repro.library.mpi.MPILibrary`) and records the
+:class:`~repro.library.yhccl.CollectiveResult` of every collective
 call: operation, size, time, DAV, achieved data-access bandwidth and
 the algorithm selected — the data behind the paper's DAB discussion in
 Section 5.4.
@@ -10,29 +11,9 @@ Section 5.4.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-
-@dataclass
-class ProfileRecord:
-    kind: str
-    nbytes: int
-    time: float
-    dav: int
-    algorithm: str
-    #: per-rank counter snapshot (``repro-obs/1``) when the wrapped
-    #: library provides one; ``None`` for bare results
-    counters: Optional[dict] = None
-
-    @property
-    def dab(self) -> float:
-        """Data access bandwidth (bytes/s).
-
-        A zero-time record (degenerate, e.g. an empty payload) yields
-        ``0.0`` rather than infinity: infinities would poison aggregate
-        DAB statistics and are not representable in JSON.
-        """
-        return self.dav / self.time if self.time > 0 else 0.0
+from repro.collectives.common import KINDS
+from repro.library.yhccl import CollectiveResult
 
 
 @dataclass
@@ -46,12 +27,9 @@ class _OpStats:
 class Profiler:
     """Intercepts collective calls the way a PMPI shim does."""
 
-    COLLECTIVES = ("allreduce", "reduce", "reduce_scatter", "bcast",
-                   "allgather")
-
     def __init__(self, library):
         self.library = library
-        self.records: list[ProfileRecord] = []
+        self.records: list[CollectiveResult] = []
 
     def __getattr__(self, name):
         # Dunders must keep their standard failure semantics: copy,
@@ -62,23 +40,14 @@ class Profiler:
         if name.startswith("__") or name == "library":
             raise AttributeError(name)
         inner = getattr(self.library, name)  # AttributeError names both
-        if name not in self.COLLECTIVES:
+        if name not in KINDS:
             # A PMPI shim is transparent: non-collective API (lint,
             # verify, comm, ...) passes straight through unprofiled.
             return inner
 
         def wrapper(nbytes, **kw):
             result = inner(nbytes, **kw)
-            self.records.append(
-                ProfileRecord(
-                    kind=result.kind,
-                    nbytes=result.nbytes,
-                    time=result.time,
-                    dav=result.dav,
-                    algorithm=result.algorithm,
-                    counters=getattr(result, "counters", None),
-                )
-            )
+            self.records.append(result)
             return result
 
         return wrapper
@@ -106,7 +75,7 @@ class Profiler:
             f"{'DAB (GB/s)':>12}"
         ]
         for kind, st in sorted(self.stats().items()):
-            # same zero-time guard as ProfileRecord.dab: a sum of
+            # same zero-time guard as CollectiveResult.dab: a sum of
             # degenerate zero-time records must not divide by zero
             dab = (st.total_dav / st.total_time / 1e9
                    if st.total_time > 0 else 0.0)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.collectives.common import run_reduce_collective
+from repro.collectives.common import run_collective
 from repro.collectives.dpml import (
     DPML2_ALLREDUCE,
     DPML_REDUCE,
@@ -139,7 +139,7 @@ class Tuner:
 
     def _time(self, alg, nbytes: int, imax: int) -> float:
         comm = self._fresh()
-        res = run_reduce_collective(
+        res = run_collective(
             alg, comm.engine, nbytes, copy_policy="adaptive", imax=imax,
             iterations=self.iterations,
         )

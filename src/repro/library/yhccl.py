@@ -5,9 +5,9 @@ Routes every call through the Section 5.1 switching logic
 engine, and returns a :class:`CollectiveResult` carrying simulated time,
 data-access volume and traffic breakdown.
 
-Mirrors the artifact's activation model: constructing with
-``priority=0`` disables YHCCL (calls fall through to the fallback
-vendor), just as ``OMPI_MCA_coll_yhccl_priority=0`` does.
+:class:`CollectiveLibrary` holds the five collective calls once; YHCCL
+and :class:`~repro.library.mpi.MPILibrary` differ only in which
+algorithm and copy policy they pick for a call.
 """
 
 from __future__ import annotations
@@ -15,14 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.collectives.common import (
-    run_allgather_collective,
-    run_bcast_collective,
-    run_reduce_collective,
-)
-from repro.collectives.switching import Selection, YHCCLConfig, select
+from repro.collectives.common import run_collective
+from repro.collectives.switching import YHCCLConfig, platform_imax, select
 from repro.library.communicator import Communicator
-from repro.machine.spec import KB
+from repro.models.dav import table_row
 from repro.obs.counters import Counters
 
 
@@ -57,65 +53,89 @@ class CollectiveResult:
         return self.dav / self.time if self.time > 0 else 0.0
 
 
-def _platform_imax(comm: Communicator) -> int:
-    """The paper's tuned MA slice caps: 256 KB NodeA, 128 KB NodeB."""
-    if comm.machine is None:
-        return 256 * KB
-    return {"NodeA": 256 * KB, "NodeB": 128 * KB}.get(
-        comm.machine.name, 128 * KB
-    )
+class CollectiveLibrary:
+    """The five collective calls of a library facade.
 
+    A subclass picks the algorithm and copy policy for each call
+    (:meth:`_choose`) and the slice cap (``imax``); every call runs
+    through :func:`~repro.collectives.common.run_collective` on the
+    communicator's engine.
+    """
 
-class YHCCL:
-    """The optimized collective library (Figure 4's full stack)."""
+    comm: Communicator
+    imax: int
 
-    def __init__(self, comm: Communicator, *,
-                 config: Optional[YHCCLConfig] = None, priority: int = 100):
-        self.comm = comm
-        self.config = config or YHCCLConfig(imax=_platform_imax(comm))
-        self.priority = priority
-        if priority <= 0:
-            raise ValueError(
-                "priority<=0 disables YHCCL; instantiate MPILibrary for the "
-                "fallback implementation instead"
-            )
+    def _choose(self, kind: str, nbytes: int, op: str):
+        """``(algorithm, copy_policy)`` for one call."""
+        raise NotImplementedError
 
-    # ---- collective operations ------------------------------------------------
+    def _call(self, kind: str, nbytes: int, *, op: str = "sum",
+              root: int = 0, iterations: int = 1) -> CollectiveResult:
+        alg, policy = self._choose(kind, nbytes, op)
+        res = run_collective(alg, self.comm.engine, nbytes, op=op,
+                             copy_policy=policy, imax=self.imax, root=root,
+                             iterations=iterations)
+        return CollectiveResult(
+            kind=kind,
+            nbytes=nbytes,
+            time=res.time,
+            dav=res.traffic.dav if res.traffic else 0,
+            memory_traffic=res.traffic.memory_traffic if res.traffic else 0,
+            sync_count=res.sync_count,
+            algorithm=alg.name,
+            copy_policy=policy,
+            counters=Counters.from_run(res).snapshot(),
+        )
 
     def allreduce(self, nbytes: int, *, op: str = "sum",
                   iterations: int = 1) -> CollectiveResult:
-        return self._reduce_family("allreduce", nbytes, op=op,
-                                   iterations=iterations)
+        return self._call("allreduce", nbytes, op=op, iterations=iterations)
 
     def reduce(self, nbytes: int, *, op: str = "sum", root: int = 0,
                iterations: int = 1) -> CollectiveResult:
-        return self._reduce_family("reduce", nbytes, op=op, root=root,
-                                   iterations=iterations)
+        return self._call("reduce", nbytes, op=op, root=root,
+                          iterations=iterations)
 
     def reduce_scatter(self, nbytes: int, *, op: str = "sum",
                        iterations: int = 1) -> CollectiveResult:
-        return self._reduce_family("reduce_scatter", nbytes, op=op,
-                                   iterations=iterations)
+        return self._call("reduce_scatter", nbytes, op=op,
+                          iterations=iterations)
 
     def bcast(self, nbytes: int, *, root: int = 0,
               iterations: int = 1) -> CollectiveResult:
-        sel = self._select("bcast", nbytes)
-        res = run_bcast_collective(
-            sel.algorithm, self.comm.engine, nbytes,
-            copy_policy=sel.copy_policy, imax=self.config.imax, root=root,
-            iterations=iterations,
-        )
-        return self._wrap("bcast", nbytes, sel, res)
+        return self._call("bcast", nbytes, root=root, iterations=iterations)
 
     def allgather(self, nbytes: int,
                   iterations: int = 1) -> CollectiveResult:
-        sel = self._select("allgather", nbytes)
-        res = run_allgather_collective(
-            sel.algorithm, self.comm.engine, nbytes,
-            copy_policy=sel.copy_policy, imax=self.config.imax,
-            iterations=iterations,
-        )
-        return self._wrap("allgather", nbytes, sel, res)
+        return self._call("allgather", nbytes, iterations=iterations)
+
+
+class YHCCL(CollectiveLibrary):
+    """The optimized collective library (Figure 4's full stack)."""
+
+    def __init__(self, comm: Communicator, *,
+                 config: Optional[YHCCLConfig] = None):
+        self.comm = comm
+        self.config = config or YHCCLConfig(imax=platform_imax(comm.machine))
+
+    @property
+    def imax(self) -> int:
+        return self.config.imax
+
+    def _choose(self, kind: str, nbytes: int, op: str):
+        sel = select(kind, nbytes, self.config, op=op)
+        return sel.algorithm, sel.copy_policy
+
+    def _program(self, kind: str, nbytes: int, op: str):
+        """The algorithm selected for ``(kind, nbytes)`` and a runner of
+        it on any engine — what :meth:`lint` and :meth:`verify` analyze."""
+        alg, policy = self._choose(kind, nbytes, op)
+
+        def run(eng):
+            run_collective(alg, eng, nbytes, op=op, copy_policy=policy,
+                           imax=self.imax)
+
+        return alg, run
 
     # ---- schedule verification --------------------------------------------------
 
@@ -134,34 +154,17 @@ class YHCCL:
         """
         from repro.analysis.static import extract_program, run_passes
 
-        sel = self._select(kind, nbytes) if kind in ("bcast", "allgather") \
-            else select(kind, nbytes, self.config, op=op)
-        runner = {
-            "bcast": run_bcast_collective,
-            "allgather": run_allgather_collective,
-        }.get(kind, run_reduce_collective)
-        kw = {} if kind in ("bcast", "allgather") else {"op": op}
-        p = 4 if nranks is None else nranks
-
-        def run(eng):
-            runner(sel.algorithm, eng, nbytes,
-                   copy_policy=sel.copy_policy, imax=self.config.imax, **kw)
-
+        alg, run = self._program(kind, nbytes, op)
         ir = extract_program(
-            run, nranks=p, label=f"{sel.algorithm.name}/{kind}",
-            kind=kind, s=nbytes, machine=self.comm.machine,
+            run, nranks=4 if nranks is None else nranks,
+            label=f"{alg.name}/{kind}", kind=kind, s=nbytes,
+            machine=self.comm.machine,
         )
-        ir.meta["locality"] = str(getattr(sel.algorithm, "locality", ""))
-        # extract_program cannot know which Table 1-3 row models this
-        # algorithm; recover it by identity from the registry so the
-        # static DAV pass checks instead of skipping.  bcast/allgather
-        # ("pipelined") keep "" — their formulas key on kind alone.
-        from repro.library.mpi import ALGORITHMS
-        for name, kinds in ALGORITHMS.items():
-            if name != "pipelined" and kinds.get(kind) is sel.algorithm:
-                ir.meta["dav_algorithm"] = name
-                ir.meta["k"] = int(getattr(sel.algorithm, "branch", 2))
-                break
+        ir.meta["locality"] = str(getattr(alg, "locality", ""))
+        # the Table 1-3 row, so the static DAV pass checks instead of
+        # skipping
+        ir.meta["dav_algorithm"] = table_row(kind, alg.name)
+        ir.meta["k"] = int(getattr(alg, "branch", 2))
         return run_passes(ir)
 
     def verify(self, kind: str, nbytes: int, *, op: str = "sum",
@@ -182,52 +185,12 @@ class YHCCL:
         """
         from repro.analysis.mc import DEFAULT_BUDGET, verify_program
 
-        sel = self._select(kind, nbytes) if kind in ("bcast", "allgather") \
-            else select(kind, nbytes, self.config, op=op)
-        runner = {
-            "bcast": run_bcast_collective,
-            "allgather": run_allgather_collective,
-        }.get(kind, run_reduce_collective)
-        kw = {} if kind in ("bcast", "allgather") else {"op": op}
-        p = min(self.comm.nranks, 3) if nranks is None else nranks
-
-        def run(eng):
-            runner(sel.algorithm, eng, nbytes,
-                   copy_policy=sel.copy_policy, imax=self.config.imax, **kw)
-
+        alg, run = self._program(kind, nbytes, op)
         return verify_program(
-            run, nranks=p, label=f"{sel.algorithm.name}/{kind}",
-            collective=sel.algorithm.name, kind=kind, s=nbytes,
-            sanitize=sanitize,
+            run, nranks=min(self.comm.nranks, 3) if nranks is None
+            else nranks,
+            label=f"{alg.name}/{kind}", collective=alg.name, kind=kind,
+            s=nbytes, sanitize=sanitize,
             max_schedules=(max_schedules if max_schedules is not None
                            else DEFAULT_BUDGET),
-        )
-
-    # ---- internals ---------------------------------------------------------------
-
-    def _select(self, kind: str, nbytes: int) -> Selection:
-        return select(kind, nbytes, self.config)
-
-    def _reduce_family(self, kind: str, nbytes: int, *, op: str = "sum",
-                       root: int = 0, iterations: int = 1) -> CollectiveResult:
-        sel = select(kind, nbytes, self.config, op=op)
-        res = run_reduce_collective(
-            sel.algorithm, self.comm.engine, nbytes, op=op,
-            copy_policy=sel.copy_policy, imax=self.config.imax, root=root,
-            iterations=iterations,
-        )
-        return self._wrap(kind, nbytes, sel, res)
-
-    def _wrap(self, kind: str, nbytes: int, sel: Selection, res
-              ) -> CollectiveResult:
-        return CollectiveResult(
-            kind=kind,
-            nbytes=nbytes,
-            time=res.time,
-            dav=res.traffic.dav if res.traffic else 0,
-            memory_traffic=res.traffic.memory_traffic if res.traffic else 0,
-            sync_count=res.sync_count,
-            algorithm=sel.algorithm.name,
-            copy_policy=sel.copy_policy,
-            counters=Counters.from_run(res).snapshot(),
         )

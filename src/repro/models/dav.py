@@ -37,6 +37,12 @@ All formulas take the per-rank message size ``s`` in bytes and return
 bytes per node.  :func:`predicted_dav` is the oracle the analyzers pin
 traced runs against: these implementation rows plus locally derived
 rows for the collectives the tables omit.
+
+The other side of that comparison is tallied here too:
+:func:`op_touched_bytes` is Theorem 3.1's count for one engine
+operation, which the obs counters, the schedule IR, the symbolic
+domain and the compiled evaluator all sum; :func:`table_row` names the
+row that models an algorithm.
 """
 
 from __future__ import annotations
@@ -46,6 +52,39 @@ from typing import Callable, Dict, Optional
 
 #: relative tolerance for float formula vs integer byte counters
 REL_TOL = 1e-9
+
+
+def op_touch_factor(kind: str) -> int:
+    """Theorem 3.1 byte multiplier of one engine operation: a copy
+    touches ``2n`` bytes (load + store), a reduce ``3n`` (two loads +
+    store), a touch ``n``; synchronization and compute move nothing.
+    The compiled evaluator vectorizes this table over its int8 op-kind
+    codes (:data:`repro.sim.compiled.KIND_CODES`)."""
+    if kind == "copy":
+        return 2
+    if kind.startswith("reduce"):
+        return 3
+    if kind == "touch":
+        return 1
+    return 0
+
+
+def op_touched_bytes(kind: str, nbytes: int) -> int:
+    """Theorem 3.1 accounting for one engine operation —
+    :func:`op_touch_factor` times the byte count."""
+    return op_touch_factor(kind) * nbytes
+
+
+def table_row(kind: str, algorithm: str) -> str:
+    """The row name (``dpml2``) of the algorithm named ``algorithm``
+    (``dpml2-allreduce``): its name without the kind suffix.  bcast
+    and allgather key on kind alone, so the pipelined designs map to
+    ``""``; a name that is no row makes :func:`predicted_dav` return
+    ``None``."""
+    suffix = "-" + kind.replace("_", "-")
+    name = algorithm[:-len(suffix)] if algorithm.endswith(suffix) \
+        else algorithm
+    return "" if name == "pipelined" else name
 
 
 def _harmonic_halving(p: int) -> float:

@@ -16,7 +16,7 @@ once the working set exceeds the cache, NT stores don't.
 from __future__ import annotations
 
 from repro.machine.spec import MachineSpec, available_cache_capacity
-from repro.models.dav import DAV_FORMULAS
+from repro.models.dav import DAV_FORMULAS, op_touched_bytes
 from repro.models.nt_model import work_set_size
 
 #: sync steps on the critical path, per algorithm (rounds as
@@ -37,27 +37,6 @@ _SYNC_STEPS = {
     "dpml": lambda s, p, imax, m: 2,
     "rg": lambda s, p, imax, m: max(1, p.bit_length() - 1) + s // imax,
 }
-
-
-def op_touch_factor(kind: str) -> int:
-    """Theorem 3.1 byte multiplier of one engine operation: a copy
-    touches ``2n`` bytes (load + store), a reduce ``3n`` (two loads +
-    store), a touch ``n``; synchronization and compute move nothing.
-    The compiled evaluator vectorizes this table over its int8 op-kind
-    codes (:data:`repro.sim.compiled.KIND_CODES`)."""
-    if kind == "copy":
-        return 2
-    if kind.startswith("reduce"):
-        return 3
-    if kind == "touch":
-        return 1
-    return 0
-
-
-def op_touched_bytes(kind: str, nbytes: int) -> int:
-    """Theorem 3.1 accounting for one engine operation —
-    :func:`op_touch_factor` times the byte count."""
-    return op_touch_factor(kind) * nbytes
 
 
 def static_op_time(kind: str, nbytes: int, *, cache_bandwidth_core: float,

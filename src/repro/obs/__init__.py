@@ -6,9 +6,8 @@ instrumentation — it adds no new hooks to the engine hot loops:
 * :class:`~repro.obs.counters.Counters` — the per-rank counter
   registry (copy / NT / reduce / touch bytes, sync-wait and
   barrier-stall time, memory-level traffic, DAV, utilization),
-  snapshotted into :class:`~repro.library.yhccl.CollectiveResult`,
-  :class:`~repro.library.profiler.ProfileRecord` and every
-  ``repro-bench/1`` sweep cell;
+  snapshotted into every :class:`~repro.library.yhccl.CollectiveResult`
+  (which the profiler records) and every ``repro-bench/1`` sweep cell;
 * :func:`~repro.obs.perfetto.chrome_trace` /
   :func:`~repro.obs.perfetto.write_chrome_trace` — Chrome
   trace-event / Perfetto JSON export with per-rank tracks, phase

@@ -6,7 +6,7 @@ argument is made of, from two independent sources:
 * the **operation trace** (:class:`~repro.sim.trace.Trace`): copy / NT
   / reduce / touch bytes, flag-wait and barrier-stall time, busy time —
   from which the Theorem 3.1 data-access volume is
-  ``2 * copy + 3 * reduce`` bytes, exactly what
+  ``2 * copy + 3 * reduce + touch`` bytes, exactly what
   :meth:`repro.analysis.static.ir.ScheduleIR.static_dav` computes
   node-wide over the lifted schedule;
 * the **memory system** (:class:`~repro.machine.memory.TrafficCounters`
@@ -20,9 +20,9 @@ both, and the two DAV accountings must agree for every collective —
 ``tests/obs`` pins that cross-check against :mod:`repro.models.dav`.
 
 Counters are plain data: :meth:`Counters.snapshot` produces the
-JSON-safe dict embedded in :class:`~repro.library.yhccl.CollectiveResult`,
-:class:`~repro.library.profiler.ProfileRecord` and every
-``repro-bench/1`` sweep cell.
+JSON-safe dict embedded in every
+:class:`~repro.library.yhccl.CollectiveResult` (which the profiler
+records) and every ``repro-bench/1`` sweep cell.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+from repro.models.dav import op_touched_bytes
 from repro.sim.trace import Trace
 
 SCHEMA = "repro-obs/1"
@@ -69,9 +70,12 @@ class RankCounters:
 
     @property
     def trace_dav(self) -> float:
-        """Theorem 3.1 accounting: a copy touches ``2n`` bytes (load +
-        store), a reduce ``3n`` (two loads + store)."""
-        return 2.0 * self.copy_bytes + 3.0 * self.reduce_bytes
+        """Theorem 3.1 accounting
+        (:func:`repro.models.dav.op_touched_bytes`): ``2n`` bytes per
+        copy, ``3n`` per reduce, ``n`` per touch."""
+        return float(op_touched_bytes("copy", self.copy_bytes)
+                     + op_touched_bytes("reduce", self.reduce_bytes)
+                     + op_touched_bytes("touch", self.touch_bytes))
 
     @property
     def dav(self) -> float:

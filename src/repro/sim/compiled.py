@@ -76,7 +76,7 @@ KIND_NAMES = {v: k for k, v in KIND_CODES.items()}
 
 
 def _touch_factors() -> np.ndarray:
-    from repro.models.timing import op_touch_factor
+    from repro.models.dav import op_touch_factor
 
     out = np.zeros(len(KIND_CODES), dtype=np.float64)
     for name, code in KIND_CODES.items():
@@ -85,7 +85,7 @@ def _touch_factors() -> np.ndarray:
 
 
 #: Theorem 3.1 byte multipliers indexed by op-kind code (shared with
-#: :func:`repro.models.timing.op_touched_bytes`)
+#: :func:`repro.models.dav.op_touched_bytes`)
 _TOUCH_FACTOR_BY_CODE = _touch_factors()
 
 

@@ -6,7 +6,7 @@ pipeline's diagonal copy wavefront, the barrier walls of DPML's phases,
 a broadcast's root/reader overlap.
 
     eng = Engine(4, machine=TINY, functional=False, trace=True)
-    run_reduce_collective(MA_REDUCE_SCATTER, eng, 4096, imax=512)
+    run_collective(MA_REDUCE_SCATTER, eng, 4096, imax=512)
     print(render_timeline(eng.trace, width=72))
 
 Each character cell is a time bucket; the glyph is the operation that

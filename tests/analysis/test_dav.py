@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis.static.extract import ir_from_trace
 from repro.analysis.static.passes import StaticDavPass
-from repro.collectives.common import run_reduce_collective
+from repro.collectives.common import run_collective
 from repro.collectives.ma import MA_ALLREDUCE
 from repro.models.dav import implementation_dav, predicted_dav
 from repro.sim.engine import Engine
@@ -13,7 +13,7 @@ from repro.sim.trace import OpRecord, Trace
 
 def _traced_run(p=6, s=4800):
     eng = Engine(p, functional=True, trace=True)
-    run_reduce_collective(MA_ALLREDUCE, eng, s, imax=512)
+    run_collective(MA_ALLREDUCE, eng, s, imax=512)
     return eng.trace, p, s
 
 
@@ -28,8 +28,8 @@ def test_static_dav_is_2copy_plus_3reduce():
     trace.add(OpRecord(rank=0, kind="copy", nbytes=100))
     trace.add(OpRecord(rank=1, kind="reduce_acc", nbytes=40))
     trace.add(OpRecord(rank=1, kind="reduce_out", nbytes=10))
-    trace.add(OpRecord(rank=0, kind="touch", nbytes=999))  # not DAV
-    assert ir_from_trace(trace).static_dav() == 2 * 100 + 3 * 50
+    trace.add(OpRecord(rank=0, kind="touch", nbytes=999))  # one load
+    assert ir_from_trace(trace).static_dav() == 2 * 100 + 3 * 50 + 999
 
 
 def test_ma_allreduce_matches_formula_exactly():

@@ -13,8 +13,9 @@ from repro.bench import (
     vendor_spec,
     yhccl_spec,
 )
-from repro.bench.registry import platform_imax, resolve_algorithm
+from repro.bench.registry import resolve_algorithm
 from repro.bench.sizes import quick_subsample
+from repro.collectives.switching import platform_imax
 from repro.machine.spec import KB, MB, NODE_A, NODE_B
 
 

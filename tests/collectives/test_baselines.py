@@ -12,23 +12,12 @@ from repro.collectives.baselines import (
     XPMEMReduceScatter,
     make_vendor_suites,
 )
-from repro.collectives.common import (
-    run_allgather_collective,
-    run_bcast_collective,
-    run_reduce_collective,
-)
+from repro.collectives.common import run_collective
 from repro.sim.engine import Engine
 
 from tests.conftest import TINY
 
 KB = 1024
-RUNNERS = {
-    "reduce_scatter": run_reduce_collective,
-    "reduce": run_reduce_collective,
-    "allreduce": run_reduce_collective,
-    "bcast": run_bcast_collective,
-    "allgather": run_allgather_collective,
-}
 
 
 class TestVendorSuitesFunctional:
@@ -36,16 +25,16 @@ class TestVendorSuitesFunctional:
     @pytest.mark.parametrize("p", [2, 5, 8])
     def test_all_collectives_correct(self, vendor, p):
         suite = make_vendor_suites()[vendor]
-        for kind, (alg, policy) in suite.items():
+        for alg, policy in suite.values():
             eng = Engine(p, functional=True)
-            RUNNERS[kind](alg, eng, 8 * 250, copy_policy=policy, imax=512)
+            run_collective(alg, eng, 8 * 250, copy_policy=policy, imax=512)
 
     @pytest.mark.parametrize("vendor", sorted(make_vendor_suites()))
     def test_with_machine(self, vendor):
         suite = make_vendor_suites()[vendor]
-        for kind, (alg, policy) in suite.items():
+        for alg, policy in suite.values():
             eng = Engine(8, machine=TINY, functional=True)
-            RUNNERS[kind](alg, eng, 8 * KB, copy_policy=policy, imax=KB)
+            run_collective(alg, eng, 8 * KB, copy_policy=policy, imax=KB)
 
     def test_suites_cover_all_five_collectives(self):
         for vendor, suite in make_vendor_suites().items():
@@ -59,14 +48,14 @@ class TestXPMEMProperties:
         """Direct access: no staging copies at all for reduce-scatter."""
         s = 32 * KB
         eng = Engine(8, machine=TINY, functional=False)
-        res = run_reduce_collective(XPMEMReduceScatter(), eng, s)
+        res = run_collective(XPMEMReduceScatter(), eng, s)
         # 3I per reduce, p-1 reduces per partition: 3s(p-1) + nothing
         assert res.dav == 3 * s * 7
 
     def test_cross_socket_loads_hit_numa(self):
         eng = Engine(8, machine=TINY, functional=False)
         s = 256 * KB  # per-rank buffers exceed TINY's cache
-        res = run_reduce_collective(XPMEMReduceScatter(), eng, s)
+        res = run_collective(XPMEMReduceScatter(), eng, s)
         assert res.traffic.numa_bytes + res.traffic.c2c_bytes > 0
 
     def test_allreduce_memmove_crossover(self):
@@ -75,23 +64,23 @@ class TestXPMEMProperties:
         p = 8
         thr = TINY.memmove_nt_threshold  # 256 KB
         small = Engine(p, machine=TINY, functional=False, trace=True)
-        run_reduce_collective(XPMEMAllreduce(), small, p * thr // 2)
+        run_collective(XPMEMAllreduce(), small, p * thr // 2)
         assert small.trace.copy_bytes(nt=True) == 0
         big = Engine(p, machine=TINY, functional=False, trace=True)
-        run_reduce_collective(XPMEMAllreduce(), big, p * thr)
+        run_collective(XPMEMAllreduce(), big, p * thr)
         assert big.trace.copy_bytes(nt=True) > 0
 
     @given(p=st.integers(2, 6), s_units=st.integers(1, 200))
     @settings(max_examples=15, deadline=None)
     def test_property_correct(self, p, s_units):
         eng = Engine(p, functional=True)
-        run_reduce_collective(XPMEMAllreduce(), eng, 8 * s_units)
+        run_collective(XPMEMAllreduce(), eng, 8 * s_units)
 
 
 class TestCMAProperties:
     def test_kernel_copies_never_nt(self):
         eng = Engine(8, machine=TINY, functional=False, trace=True)
-        run_reduce_collective(CMARingAllreduce(), eng, 4 << 20)
+        run_collective(CMARingAllreduce(), eng, 4 << 20)
         assert eng.trace.copy_bytes(nt=True) == 0
 
     def test_one_to_all_contention(self):
@@ -99,23 +88,23 @@ class TestCMAProperties:
         page-walk serialization grows with the message size."""
         s = 4 << 20
         eng1 = Engine(8, machine=TINY, functional=False)
-        t_cma = run_bcast_collective(CMABcast(), eng1, s).time
+        t_cma = run_collective(CMABcast(), eng1, s).time
         from repro.collectives.bcast import PIPELINED_BCAST
 
         eng2 = Engine(8, machine=TINY, functional=False)
-        t_shm = run_bcast_collective(PIPELINED_BCAST, eng2, s,
-                                     copy_policy="adaptive",
-                                     imax=64 * KB).time
+        t_shm = run_collective(PIPELINED_BCAST, eng2, s,
+                               copy_policy="adaptive",
+                               imax=64 * KB).time
         assert t_cma > 1.3 * t_shm
 
     def test_intel_faster_than_openmpi(self):
         """Intel MPI = same mechanism, tighter kernel tuning."""
         s = 1 << 20
         eng1 = Engine(8, machine=TINY, functional=False)
-        t_ompi = run_reduce_collective(
+        t_ompi = run_collective(
             CMARingAllreduce("o", kernel_factor=1.0), eng1, s).time
         eng2 = Engine(8, machine=TINY, functional=False)
-        t_impi = run_reduce_collective(
+        t_impi = run_collective(
             CMARingAllreduce("i", kernel_factor=0.5), eng2, s).time
         assert t_impi < t_ompi
 
@@ -126,7 +115,7 @@ class TestMPICHProperties:
 
         s = 1 << 20
         eng1 = Engine(8, machine=TINY, functional=False)
-        t_plain = run_reduce_collective(RABENSEIFNER_ALLREDUCE, eng1, s).time
+        t_plain = run_collective(RABENSEIFNER_ALLREDUCE, eng1, s).time
         eng2 = Engine(8, machine=TINY, functional=False)
-        t_mpich = run_reduce_collective(MPICHAllreduce(), eng2, s).time
+        t_mpich = run_collective(MPICHAllreduce(), eng2, s).time
         assert t_mpich > t_plain

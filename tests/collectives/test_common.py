@@ -9,6 +9,7 @@ from repro.collectives.common import (
     compute_slice_size,
     make_env,
     partition,
+    run_collective,
     subslices,
     IMIN_DEFAULT,
 )
@@ -132,3 +133,18 @@ class TestCollectiveEnv:
         # send buffers hold distinct random data
         assert not np.array_equal(env.sendbufs[0].array(),
                                   env.sendbufs[1].array())
+
+
+class TestRunCollective:
+    def test_refuses_unknown_kind(self):
+        class Scan:
+            name = "stub-scan"
+            kind = "scan"
+
+        eng = Engine(2, functional=True)
+        with pytest.raises(ValueError) as err:
+            run_collective(Scan(), eng, 64)
+        for kind in ("reduce_scatter", "reduce", "allreduce", "bcast",
+                     "allgather"):
+            assert kind in str(err.value)
+        assert not eng.buffers  # refused before allocating

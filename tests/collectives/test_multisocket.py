@@ -4,7 +4,7 @@ socket-aware designs on a 4-socket machine (NodeD) — the paper's
 
 import pytest
 
-from repro.collectives.common import run_reduce_collective
+from repro.collectives.common import run_collective
 from repro.collectives.dpml import DPML2_ALLREDUCE
 from repro.collectives.socket_aware import (
     SOCKET_MA_ALLREDUCE,
@@ -41,17 +41,17 @@ class TestFourSocketCorrectness:
     @pytest.mark.parametrize("p", [4, 8, 16])
     def test_functional(self, kind, p):
         eng = Engine(p, machine=NODE_D, functional=True)
-        run_reduce_collective(ALGS[kind], eng, 16 * KB, imax=KB)
+        run_collective(ALGS[kind], eng, 16 * KB, imax=KB)
 
     def test_uneven_socket_population(self):
         # 10 ranks over 4 sockets: 3+3+2+2 groups
         eng = Engine(10, machine=NODE_D, functional=True)
-        run_reduce_collective(SOCKET_MA_ALLREDUCE, eng, 10 * KB, imax=KB)
+        run_collective(SOCKET_MA_ALLREDUCE, eng, 10 * KB, imax=KB)
 
     def test_functional_m4_without_machine(self):
         eng = Engine(8, functional=True)
-        run_reduce_collective(SOCKET_MA_ALLREDUCE, eng, 8 * KB,
-                              imax=KB, params={"sockets": 4})
+        run_collective(SOCKET_MA_ALLREDUCE, eng, 8 * KB,
+                       imax=KB, params={"sockets": 4})
 
 
 class TestFourSocketDAV:
@@ -59,7 +59,7 @@ class TestFourSocketDAV:
     def test_formula_with_m4(self, kind):
         s = 64 * KB
         eng = Engine(16, machine=NODE_D, functional=False)
-        res = run_reduce_collective(ALGS[kind], eng, s, imax=KB)
+        res = run_collective(ALGS[kind], eng, s, imax=KB)
         assert res.dav == implementation_dav(kind, "socket-ma", s, 16, m=4)
 
     def test_dav_grows_with_m_but_stays_below_dpml(self):
@@ -77,12 +77,11 @@ class TestFourSocketBehaviour:
         """Level-1 traffic stays intra-socket on 4 sockets too."""
         eng = Engine(16, machine=NODE_D, functional=False)
         s = 64 * KB
-        res = run_reduce_collective(SOCKET_MA_REDUCE_SCATTER, eng, s,
-                                    imax=2 * KB)
+        res = run_collective(SOCKET_MA_REDUCE_SCATTER, eng, s, imax=2 * KB)
         # numa_bytes already includes cache-to-cache transfers; level 2
         # reads (m-1) = 3 foreign segments of s bytes in total
         assert res.traffic.numa_bytes <= 3.5 * s
 
     def test_two_level_dpml_with_m4(self):
         eng = Engine(16, machine=NODE_D, functional=True)
-        run_reduce_collective(DPML2_ALLREDUCE, eng, 16 * KB)
+        run_collective(DPML2_ALLREDUCE, eng, 16 * KB)

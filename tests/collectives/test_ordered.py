@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.collectives.common import run_reduce_collective
+from repro.collectives.common import run_collective
 from repro.collectives.ma import MA_ALLREDUCE
 from repro.collectives.ops import (
     ReduceOp,
@@ -58,39 +58,36 @@ class TestOpRegistry:
 
 
 class TestOrderedCorrectness:
-    """run_reduce_collective's oracle is a rank-order left fold — for
+    """run_collective's oracle is a rank-order left fold — for
     `sub` only an order-preserving algorithm can match it."""
 
     @pytest.mark.parametrize("alg", ALGS, ids=[a.name for a in ALGS])
     @pytest.mark.parametrize("p", [1, 2, 3, 5, 8])
     def test_sub_matches_left_fold(self, alg, p):
         eng = Engine(p, functional=True)
-        run_reduce_collective(alg, eng, 960, op="sub", imax=128)
+        run_collective(alg, eng, 960, op="sub", imax=128)
 
     @pytest.mark.parametrize("alg", ALGS, ids=[a.name for a in ALGS])
     def test_commutative_ops_also_work(self, alg):
         eng = Engine(4, functional=True)
-        run_reduce_collective(alg, eng, 4096, op="sum", imax=512)
+        run_collective(alg, eng, 4096, op="sum", imax=512)
 
     def test_ma_gets_sub_wrong(self):
         """Negative control: the MA reordering genuinely breaks `sub`."""
         eng = Engine(4, functional=True)
         with pytest.raises(AssertionError):
-            run_reduce_collective(MA_ALLREDUCE, eng, 4096, op="sub",
-                                  imax=512)
+            run_collective(MA_ALLREDUCE, eng, 4096, op="sub", imax=512)
 
     @given(p=st.integers(2, 6), s_units=st.integers(1, 300))
     @settings(max_examples=25, deadline=None)
     def test_property_sub_left_fold(self, p, s_units):
         eng = Engine(p, functional=True)
-        run_reduce_collective(ORDERED_ALLREDUCE, eng, 8 * s_units,
-                              op="sub", imax=256)
+        run_collective(ORDERED_ALLREDUCE, eng, 8 * s_units, op="sub", imax=256)
 
     def test_schedule_fuzzing_ordered(self):
         for seed in (3, 17, 91):
             eng = Engine(5, functional=True, schedule_seed=seed)
-            run_reduce_collective(ORDERED_ALLREDUCE, eng, 4096, op="sub",
-                                  imax=256)
+            run_collective(ORDERED_ALLREDUCE, eng, 4096, op="sub", imax=256)
 
 
 class TestRouting:
@@ -123,20 +120,17 @@ class TestOrderedTiming:
         monolithic chain pass."""
         s = 1 << 20
         eng1 = Engine(8, machine=TINY, functional=False)
-        piped = run_reduce_collective(ORDERED_ALLREDUCE, eng1, s,
-                                      imax=16 * 1024).time
+        piped = run_collective(ORDERED_ALLREDUCE, eng1, s, imax=16 * 1024).time
         eng2 = Engine(8, machine=TINY, functional=False)
-        serial = run_reduce_collective(ORDERED_ALLREDUCE, eng2, s,
-                                       imax=s).time
+        serial = run_collective(ORDERED_ALLREDUCE, eng2, s, imax=s).time
         assert piped < serial
 
     def test_dav_matches_derivation(self):
         """DAV = s(3p-1) for the chain RS, + 2sp copy-out for allreduce."""
         s, p = 64 * 1024, 8
         eng = Engine(p, machine=TINY, functional=False)
-        rs = run_reduce_collective(ORDERED_REDUCE_SCATTER, eng, s,
-                                   imax=4 * 1024)
+        rs = run_collective(ORDERED_REDUCE_SCATTER, eng, s, imax=4 * 1024)
         assert rs.dav == s * (3 * p - 1) + 2 * s  # + block copy-out
         eng = Engine(p, machine=TINY, functional=False)
-        ar = run_reduce_collective(ORDERED_ALLREDUCE, eng, s, imax=4 * 1024)
+        ar = run_collective(ORDERED_ALLREDUCE, eng, s, imax=4 * 1024)
         assert ar.dav == s * (3 * p - 1) + 2 * s * p

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.collectives.common import run_reduce_collective
+from repro.collectives.common import run_collective
 from repro.collectives.rabenseifner import (
     Plan,
     RABENSEIFNER_ALLREDUCE,
@@ -69,32 +69,32 @@ class TestFunctional:
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6, 7, 8, 12])
     def test_correctness(self, alg, p):
         eng = Engine(p, functional=True)
-        run_reduce_collective(alg, eng, 8 * 120)
+        run_collective(alg, eng, 8 * 120)
 
     @pytest.mark.parametrize("op", ["sum", "max", "prod"])
     def test_operators(self, op):
         eng = Engine(4, functional=True)
-        run_reduce_collective(RABENSEIFNER_ALLREDUCE, eng, 4 * KB, op=op)
+        run_collective(RABENSEIFNER_ALLREDUCE, eng, 4 * KB, op=op)
 
     @given(p=st.integers(2, 9), s_units=st.integers(2, 300))
     @settings(max_examples=25, deadline=None)
     def test_property(self, p, s_units):
         eng = Engine(p, functional=True)
-        run_reduce_collective(RABENSEIFNER_ALLREDUCE, eng, 8 * s_units)
+        run_collective(RABENSEIFNER_ALLREDUCE, eng, 8 * s_units)
 
 
 class TestDAV:
     def test_pow2_reduce_scatter_close_to_formula(self):
         s = 32 * KB
         eng = Engine(8, machine=TINY, functional=False)
-        res = run_reduce_collective(RABENSEIFNER_REDUCE_SCATTER, eng, s)
+        res = run_collective(RABENSEIFNER_REDUCE_SCATTER, eng, s)
         assert res.dav == implementation_dav("reduce_scatter",
                                              "rabenseifner", s, 8)
 
     def test_pow2_allreduce_close_to_formula(self):
         s = 32 * KB
         eng = Engine(8, machine=TINY, functional=False)
-        res = run_reduce_collective(RABENSEIFNER_ALLREDUCE, eng, s)
+        res = run_collective(RABENSEIFNER_ALLREDUCE, eng, s)
         assert res.dav == implementation_dav("allreduce", "rabenseifner",
                                              s, 8)
 
@@ -106,7 +106,7 @@ class TestLatencyAdvantage:
         counts = {}
         for p in (4, 8):
             eng = Engine(p, machine=TINY, functional=False)
-            counts[p] = run_reduce_collective(
+            counts[p] = run_collective(
                 RABENSEIFNER_REDUCE_SCATTER, eng, 8 * KB
             ).sync_count
         # total waits = p * log2(p): 4*2=8 and 8*3=24 — not quadratic
@@ -117,7 +117,7 @@ class TestLatencyAdvantage:
 
         s = 2 * KB
         eng1 = Engine(8, machine=TINY, functional=False)
-        t_rab = run_reduce_collective(RABENSEIFNER_ALLREDUCE, eng1, s).time
+        t_rab = run_collective(RABENSEIFNER_ALLREDUCE, eng1, s).time
         eng2 = Engine(8, machine=TINY, functional=False)
-        t_ma = run_reduce_collective(MA_ALLREDUCE, eng2, s, imax=256).time
+        t_ma = run_collective(MA_ALLREDUCE, eng2, s, imax=256).time
         assert t_rab < t_ma

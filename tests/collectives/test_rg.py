@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.collectives.common import run_reduce_collective
+from repro.collectives.common import run_collective
 from repro.collectives.rg import (
     RG_ALLREDUCE,
     RG_REDUCE,
@@ -58,31 +58,28 @@ class TestFunctional:
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 7, 9, 13])
     def test_correctness(self, alg, p):
         eng = Engine(p, functional=True)
-        run_reduce_collective(alg, eng, 960)
+        run_collective(alg, eng, 960)
 
     @pytest.mark.parametrize("branch", [1, 2, 3, 4])
     def test_branching_degrees(self, branch):
         eng = Engine(8, functional=True)
-        run_reduce_collective(RGAllreduce(branch=branch, slice_size=256),
-                              eng, 4 * KB)
+        run_collective(RGAllreduce(branch=branch, slice_size=256), eng, 4 * KB)
 
     def test_pipelined_multi_slice(self):
         eng = Engine(5, functional=True)
-        run_reduce_collective(RGAllreduce(branch=2, slice_size=128), eng,
-                              4 * KB)
+        run_collective(RGAllreduce(branch=2, slice_size=128), eng, 4 * KB)
 
     def test_nonzero_root(self):
         eng = Engine(6, functional=True)
-        run_reduce_collective(RGReduce(branch=2, slice_size=256), eng,
-                              3 * KB, root=4)
+        run_collective(RGReduce(branch=2, slice_size=256), eng, 3 * KB, root=4)
 
     @given(p=st.integers(2, 9), branch=st.integers(1, 3),
            s_units=st.integers(1, 200))
     @settings(max_examples=25, deadline=None)
     def test_property(self, p, branch, s_units):
         eng = Engine(p, functional=True)
-        run_reduce_collective(RGAllreduce(branch=branch, slice_size=512),
-                              eng, 8 * s_units)
+        run_collective(RGAllreduce(branch=branch, slice_size=512),
+                       eng, 8 * s_units)
 
 
 class TestDAV:
@@ -91,15 +88,13 @@ class TestDAV:
         # p=7, k=2 exercises the level-0 singleton group (extra 2s copy)
         s = 32 * KB
         eng = Engine(p, machine=TINY, functional=False)
-        res = run_reduce_collective(RGAllreduce(branch=k, slice_size=4 * KB),
-                                    eng, s)
+        res = run_collective(RGAllreduce(branch=k, slice_size=4 * KB), eng, s)
         assert res.dav == implementation_dav("allreduce", "rg", s, p, k=k)
 
     def test_reduce_has_no_copyout_term(self):
         s = 32 * KB
         eng = Engine(8, machine=TINY, functional=False)
-        res = run_reduce_collective(RGReduce(branch=2, slice_size=4 * KB),
-                                    eng, s)
+        res = run_collective(RGReduce(branch=2, slice_size=4 * KB), eng, s)
         assert res.dav == implementation_dav("reduce", "rg", s, 8, k=2)
 
 

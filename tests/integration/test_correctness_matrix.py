@@ -8,11 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.collectives.allgather import PIPELINED_ALLGATHER
 from repro.collectives.bcast import PIPELINED_BCAST
-from repro.collectives.common import (
-    run_allgather_collective,
-    run_bcast_collective,
-    run_reduce_collective,
-)
+from repro.collectives.common import run_collective
 from repro.collectives.dpml import (
     DPML2_ALLREDUCE,
     DPML_ALLREDUCE,
@@ -53,26 +49,25 @@ class TestFullMatrix:
     @pytest.mark.parametrize("s", [96, 4096, 33333 * 8 // 8 * 8])
     def test_reduction_collectives(self, alg, p, s):
         eng = Engine(p, functional=True)
-        run_reduce_collective(alg, eng, s, imax=512)
+        run_collective(alg, eng, s, imax=512)
 
     @pytest.mark.parametrize(
         "alg", REDUCTION_ALGS, ids=[a.name for a in REDUCTION_ALGS]
     )
     def test_on_machine_with_adaptive_policy(self, alg):
         eng = Engine(8, machine=TINY, functional=True)
-        run_reduce_collective(alg, eng, 24 * 1024, copy_policy="adaptive",
-                              imax=1024)
+        run_collective(alg, eng, 24 * 1024, copy_policy="adaptive", imax=1024)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
     def test_dtypes(self, dtype):
         eng = Engine(4, functional=True, dtype=dtype)
-        run_reduce_collective(MA_ALLREDUCE, eng, 4096, imax=512)
+        run_collective(MA_ALLREDUCE, eng, 4096, imax=512)
 
     def test_float32_bcast_allgather(self):
         eng = Engine(4, functional=True, dtype=np.float32)
-        run_bcast_collective(PIPELINED_BCAST, eng, 4096, imax=512)
+        run_collective(PIPELINED_BCAST, eng, 4096, imax=512)
         eng = Engine(4, functional=True, dtype=np.float32)
-        run_allgather_collective(PIPELINED_ALLGATHER, eng, 2048, imax=512)
+        run_collective(PIPELINED_ALLGATHER, eng, 2048, imax=512)
 
 
 class TestHypothesisFuzz:
@@ -88,16 +83,15 @@ class TestHypothesisFuzz:
                                      op):
         alg = REDUCTION_ALGS[alg_idx]
         eng = Engine(p, functional=True)
-        run_reduce_collective(alg, eng, 8 * s_units, op=op,
-                              imax=8 * imax_units)
+        run_collective(alg, eng, 8 * s_units, op=op, imax=8 * imax_units)
 
     @given(p=st.integers(2, 7), s_units=st.integers(1, 300),
            root=st.integers(0, 6))
     @settings(max_examples=30, deadline=None)
     def test_bcast_fuzz(self, p, s_units, root):
         eng = Engine(p, functional=True)
-        run_bcast_collective(PIPELINED_BCAST, eng, 8 * s_units,
-                             root=root % p, imax=256)
+        run_collective(PIPELINED_BCAST, eng, 8 * s_units,
+                       root=root % p, imax=256)
 
 
 class TestSequentialReuse:
@@ -106,11 +100,11 @@ class TestSequentialReuse:
         state must not leak between runs."""
         eng = Engine(4, machine=TINY, functional=True)
         for _ in range(3):
-            run_reduce_collective(MA_ALLREDUCE, eng, 4096, imax=512)
-            run_bcast_collective(PIPELINED_BCAST, eng, 2048, imax=512)
+            run_collective(MA_ALLREDUCE, eng, 4096, imax=512)
+            run_collective(PIPELINED_BCAST, eng, 2048, imax=512)
 
     def test_mixed_algorithms_same_engine(self):
         eng = Engine(6, functional=True)
         for alg in (MA_ALLREDUCE, DPML_ALLREDUCE, RING_ALLREDUCE,
                     RG_ALLREDUCE):
-            run_reduce_collective(alg, eng, 4800, imax=512)
+            run_collective(alg, eng, 4800, imax=512)

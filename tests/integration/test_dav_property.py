@@ -9,7 +9,7 @@ breaks an equality here.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.collectives.common import run_reduce_collective
+from repro.collectives.common import run_collective
 from repro.collectives.dpml import DPML_ALLREDUCE, DPML_REDUCE, DPML_REDUCE_SCATTER
 from repro.collectives.ma import MA_ALLREDUCE, MA_REDUCE, MA_REDUCE_SCATTER
 from repro.collectives.rg import RGAllreduce, RGReduce
@@ -67,7 +67,7 @@ def test_dav_exact_for_random_shapes(case, p_half, s_units, imax_units):
     p = 2 * p_half
     s = 8 * s_units
     eng = Engine(p, machine=machine_for(p), functional=False)
-    res = run_reduce_collective(alg, eng, s, imax=8 * imax_units)
+    res = run_collective(alg, eng, s, imax=8 * imax_units)
     assert res.dav == implementation_dav(kind, name, s, p, m=2)
 
 
@@ -85,5 +85,5 @@ def test_rg_dav_exact_for_random_shapes(p_half, s_units, k):
         ("reduce", RGReduce(branch=k, slice_size=512)),
     ):
         eng = Engine(p, machine=machine_for(p), functional=False)
-        res = run_reduce_collective(alg, eng, s)
+        res = run_collective(alg, eng, s)
         assert res.dav == implementation_dav(kind, "rg", s, p, k=k)

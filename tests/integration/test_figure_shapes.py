@@ -12,7 +12,7 @@ from repro.library.communicator import Communicator
 from repro.library.mpi import MPILibrary
 from repro.library.yhccl import YHCCL
 from repro.machine.spec import NODE_A, MB
-from repro.collectives.common import run_reduce_collective
+from repro.collectives.common import run_collective
 from repro.collectives.dpml import DPML_REDUCE_SCATTER
 from repro.collectives.socket_aware import SOCKET_MA_REDUCE_SCATTER
 from repro.sim.engine import Engine
@@ -25,9 +25,9 @@ class TestFigure9Shape:
     def test_ma_beats_dpml_large(self):
         s = 8 * MB
         eng1 = Engine(64, machine=NODE_A, functional=False)
-        t_ma = run_reduce_collective(SOCKET_MA_REDUCE_SCATTER, eng1, s).time
+        t_ma = run_collective(SOCKET_MA_REDUCE_SCATTER, eng1, s).time
         eng2 = Engine(64, machine=NODE_A, functional=False)
-        t_dpml = run_reduce_collective(DPML_REDUCE_SCATTER, eng2, s).time
+        t_dpml = run_collective(DPML_REDUCE_SCATTER, eng2, s).time
         # paper: ~4.2x average on NodeA; require a clear win
         assert t_dpml / t_ma > 1.8
 
@@ -35,7 +35,7 @@ class TestFigure9Shape:
         """Paper Figure 9a: socket-aware MA at 16 MB ~ 6.1 ms on NodeA.
         Accept the right order of magnitude (2x band)."""
         eng = Engine(64, machine=NODE_A, functional=False)
-        t = run_reduce_collective(SOCKET_MA_REDUCE_SCATTER, eng, 16 * MB).time
+        t = run_collective(SOCKET_MA_REDUCE_SCATTER, eng, 16 * MB).time
         assert 3e-3 < t < 13e-3
 
 

@@ -21,12 +21,7 @@ from repro.analysis.static.extract import ir_from_trace
 from repro.analysis.static.passes import run_passes
 from repro.collectives.allgather import PIPELINED_ALLGATHER
 from repro.collectives.bcast import PIPELINED_BCAST
-from repro.collectives.common import (
-    make_env,
-    run_allgather_collective,
-    run_bcast_collective,
-    run_reduce_collective,
-)
+from repro.collectives.common import make_env, run_collective
 from repro.collectives.dpml import DPML2_ALLREDUCE, DPML_ALLREDUCE
 from repro.collectives.ma import MA_ALLREDUCE, MA_REDUCE, MA_REDUCE_SCATTER
 from repro.collectives.rabenseifner import RABENSEIFNER_ALLREDUCE
@@ -52,7 +47,7 @@ def _assert_clean(eng):
 def _result_of(alg, schedule_seed, p=5, s=4096):
     eng = Engine(p, functional=True, seed=7, schedule_seed=schedule_seed,
                  trace=True)
-    run_reduce_collective(alg, eng, s, imax=512)
+    run_collective(alg, eng, s, imax=512)
     # the runner verifies against the oracle; the passes prove the
     # schedule sound under *every* interleaving, not just this one
     _assert_clean(eng)
@@ -66,7 +61,7 @@ class TestScheduleInvariance:
     @pytest.mark.parametrize("schedule_seed", [1, 2, 3, 99])
     def test_reduction_collectives_schedule_invariant(self, alg,
                                                       schedule_seed):
-        # run_reduce_collective verifies against the numpy oracle: a
+        # run_collective verifies against the numpy oracle: a
         # schedule-dependent race would fail the verification
         assert _result_of(alg, schedule_seed)
 
@@ -74,14 +69,14 @@ class TestScheduleInvariance:
     def test_bcast_schedule_invariant(self, schedule_seed):
         eng = Engine(5, functional=True, schedule_seed=schedule_seed,
                      trace=True)
-        run_bcast_collective(PIPELINED_BCAST, eng, 4096, imax=512)
+        run_collective(PIPELINED_BCAST, eng, 4096, imax=512)
         _assert_clean(eng)
 
     @pytest.mark.parametrize("schedule_seed", [1, 5, 11])
     def test_allgather_schedule_invariant(self, schedule_seed):
         eng = Engine(5, functional=True, schedule_seed=schedule_seed,
                      trace=True)
-        run_allgather_collective(PIPELINED_ALLGATHER, eng, 2048, imax=512)
+        run_collective(PIPELINED_ALLGATHER, eng, 2048, imax=512)
         _assert_clean(eng)
 
     @given(
@@ -94,8 +89,7 @@ class TestScheduleInvariance:
     def test_property_fuzz(self, alg_idx, schedule_seed, p, s_units):
         eng = Engine(p, functional=True, seed=3,
                      schedule_seed=schedule_seed, trace=True)
-        run_reduce_collective(FUZZ_TARGETS[alg_idx], eng, 8 * s_units,
-                              imax=256)
+        run_collective(FUZZ_TARGETS[alg_idx], eng, 8 * s_units, imax=256)
         _assert_clean(eng)
 
     def test_bitwise_identical_across_schedules(self):
@@ -116,5 +110,4 @@ class TestScheduleInvariance:
         for seed in (1, 2, 3):
             eng = Engine(8, machine=TINY, functional=False,
                          schedule_seed=seed)
-            run_reduce_collective(SOCKET_MA_ALLREDUCE, eng, 32 * 1024,
-                                  imax=2048)
+            run_collective(SOCKET_MA_ALLREDUCE, eng, 32 * 1024, imax=2048)

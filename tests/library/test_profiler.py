@@ -4,7 +4,7 @@ import pytest
 
 from repro.library.communicator import Communicator
 from repro.library.profiler import Profiler
-from repro.library.yhccl import YHCCL
+from repro.library.yhccl import YHCCL, CollectiveResult
 
 from tests.conftest import TINY
 
@@ -62,10 +62,9 @@ class TestProfiler:
         assert rec.dab == pytest.approx(rec.dav / rec.time)
 
     def test_dab_zero_time_is_zero_not_inf(self):
-        from repro.library.profiler import ProfileRecord
-
-        rec = ProfileRecord(kind="allreduce", nbytes=0, time=0.0,
-                            dav=64 * KB, algorithm="ma")
+        rec = CollectiveResult(kind="allreduce", nbytes=0, time=0.0,
+                               dav=64 * KB, memory_traffic=0, sync_count=0,
+                               algorithm="ma", copy_policy="t")
         assert rec.dab == 0.0
 
     def test_missing_attr_raises(self, profiled):
@@ -98,11 +97,10 @@ class TestProfiler:
         assert snap["nranks"] == 8
 
     def test_report_zero_time_aggregate_is_finite(self):
-        from repro.library.profiler import ProfileRecord, Profiler
-
         prof = Profiler(library=None)
-        prof.records.append(ProfileRecord(
+        prof.records.append(CollectiveResult(
             kind="allreduce", nbytes=0, time=0.0, dav=64 * KB,
-            algorithm="ma",
+            memory_traffic=0, sync_count=0, algorithm="ma",
+            copy_policy="t",
         ))
         assert "inf" not in prof.report()

@@ -43,15 +43,10 @@ class TestAPI:
         r = lib.allreduce(16 * KB)
         assert r.algorithm == "dpml2-allreduce"
 
-    def test_priority_zero_rejected(self):
-        comm = Communicator(4, machine=TINY, functional=False)
-        with pytest.raises(ValueError, match="priority"):
-            YHCCL(comm, priority=0)
-
     def test_functional_mode_verifies(self):
         comm = Communicator(4, machine=TINY, functional=True)
         lib = YHCCL(comm)
-        # run_* helpers verify against numpy oracles internally
+        # run_collective verifies against numpy oracles internally
         lib.allreduce(8 * KB)
         lib.reduce(8 * KB)
         lib.bcast(8 * KB)
@@ -73,13 +68,15 @@ class TestAPI:
         lib.reduce(8 * KB, op="min")
 
     def test_platform_imax(self):
+        from repro.collectives.switching import platform_imax
         from repro.machine import NODE_A, NODE_B
-        from repro.library.yhccl import _platform_imax
 
-        assert _platform_imax(Communicator(4, machine=NODE_A,
-                                           functional=False)) == 256 * KB
-        assert _platform_imax(Communicator(4, machine=NODE_B,
-                                           functional=False)) == 128 * KB
+        assert platform_imax(NODE_A) == 256 * KB
+        assert platform_imax(NODE_B) == 128 * KB
+        assert platform_imax(None) == 256 * KB
+        assert YHCCL(Communicator(4, machine=NODE_B,
+                                  functional=False)).config.imax == 128 * KB
+        assert YHCCL(Communicator(4)).config.imax == 256 * KB
 
 
 class TestAdaptiveBehaviourThroughFacade:

@@ -167,7 +167,7 @@ class TestIntervalBackedMemorySystem:
     """The interval cache as a drop-in MemorySystem backend."""
 
     def test_collective_runs_and_dav_unchanged(self):
-        from repro.collectives.common import run_reduce_collective
+        from repro.collectives.common import run_collective
         from repro.collectives.ma import MA_ALLREDUCE
         from repro.models.dav import implementation_dav
         from repro.sim.engine import Engine
@@ -178,7 +178,7 @@ class TestIntervalBackedMemorySystem:
         for model in ("region", "interval"):
             eng = Engine(8, machine=TINY, functional=True,
                          cache_model=model)
-            res = run_reduce_collective(MA_ALLREDUCE, eng, s, imax=2 * KB)
+            res = run_collective(MA_ALLREDUCE, eng, s, imax=2 * KB)
             assert res.dav == implementation_dav("allreduce", "ma", s, 8)
             times[model] = res.time
         # timing agrees closely on a slice-aligned workload

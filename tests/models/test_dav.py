@@ -4,7 +4,7 @@ every (collective, algorithm) pair — the central fidelity check."""
 
 import pytest
 
-from repro.collectives.common import run_reduce_collective
+from repro.collectives.common import run_collective
 from repro.collectives.dpml import (
     DPML2_ALLREDUCE,
     DPML_ALLREDUCE,
@@ -131,7 +131,7 @@ class TestSimulatorMatchesFormulasExactly:
     @pytest.mark.parametrize("s", [16 * KB, 100 * KB])
     def test_exact(self, kind, name, alg, kw, s):
         eng = Engine(8, machine=TINY, functional=False)
-        res = run_reduce_collective(alg, eng, s, **kw)
+        res = run_collective(alg, eng, s, **kw)
         assert res.dav == implementation_dav(kind, name, s, 8, m=2, k=2)
 
     @pytest.mark.parametrize("kind,name,alg,kw", CASES,
@@ -143,7 +143,7 @@ class TestSimulatorMatchesFormulasExactly:
         tree levels — the rows stay byte-exact."""
         s = 16 * KB
         eng = Engine(p, machine=TINY, functional=False)
-        res = run_reduce_collective(alg, eng, s, **kw)
+        res = run_collective(alg, eng, s, **kw)
         assert res.dav == implementation_dav(kind, name, s, p, m=2, k=2)
 
     def test_paper_vs_impl_documented_gaps(self):

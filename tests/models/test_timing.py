@@ -3,7 +3,7 @@ event simulator, and correct qualitative orderings."""
 
 import pytest
 
-from repro.collectives.common import run_reduce_collective
+from repro.collectives.common import run_collective
 from repro.collectives.ma import MA_ALLREDUCE
 from repro.collectives.ring import RING_ALLREDUCE
 from repro.machine.spec import NODE_A, KB, MB
@@ -86,6 +86,6 @@ class TestSimulatorAgreement:
     def test_within_factor(self, alg, name):
         s = 2 * MB
         eng = Engine(8, machine=TINY, functional=False)
-        sim = run_reduce_collective(alg, eng, s, imax=64 * KB).time
+        sim = run_collective(alg, eng, s, imax=64 * KB).time
         model = predict_time("allreduce", name, s, 8, TINY, imax=64 * KB)
         assert model / sim < 3.5 and sim / model < 3.5

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.analysis.static.extract import ir_from_trace
-from repro.collectives.common import run_reduce_collective
+from repro.collectives.common import run_collective
 from repro.collectives.ma import MA_ALLREDUCE, MA_REDUCE_SCATTER
 from repro.models.dav import implementation_dav
 from repro.obs import Counters
@@ -18,7 +18,7 @@ P, S = 4, 4096
 
 def traced_result(alg=MA_REDUCE_SCATTER, p=P, s=S, machine=TINY):
     eng = Engine(p, machine=machine, functional=False, trace=True)
-    res = run_reduce_collective(alg, eng, s, imax=512)
+    res = run_collective(alg, eng, s, imax=512)
     return eng, res
 
 
@@ -65,21 +65,42 @@ class TestFromTrace:
         assert all(rc.span == c.span for rc in c)
 
 
+class TestTouchTally:
+    def test_touch_counts_once_in_every_tally(self):
+        # a touch loads n bytes: the trace tally, the IR's static DAV
+        # and the memory system's logical load+store all count it once
+        from repro.collectives.common import make_env
+        from repro.machine import NODE_A
+
+        eng = Engine(P, machine=NODE_A, functional=False, trace=True)
+        env = make_env(MA_ALLREDUCE, engine=eng, s=S, imax=512)
+
+        def program(ctx):
+            yield from MA_ALLREDUCE.program(ctx, env)
+            ctx.touch(env.recvbufs[ctx.rank].view(0, S))
+
+        res = eng.run(program)
+        c = Counters.from_run(res)
+        ir = ir_from_trace(eng.trace, buffers=eng.buffers)
+        assert c.total("touch_bytes") == P * S
+        assert c.trace_dav == ir.static_dav() == c.dav
+
+
 class TestFromRun:
     def test_traced_run_slices_cumulative_trace(self):
         # two collectives on one engine: the second result's counters
         # must cover only the second run
         eng = Engine(P, machine=TINY, functional=False, trace=True)
-        run_reduce_collective(MA_REDUCE_SCATTER, eng, S, imax=512)
+        run_collective(MA_REDUCE_SCATTER, eng, S, imax=512)
         first = Counters.from_trace(eng.trace, nranks=P)
-        res2 = run_reduce_collective(MA_REDUCE_SCATTER, eng, S, imax=512)
+        res2 = run_collective(MA_REDUCE_SCATTER, eng, S, imax=512)
         c2 = Counters.from_run(res2)
         assert c2.total("copy_bytes") == first.total("copy_bytes")
         assert c2.trace_dav == first.trace_dav
 
     def test_untraced_machine_run_uses_memory_traffic(self):
         eng = Engine(P, machine=TINY, functional=False, trace=False)
-        res = run_reduce_collective(MA_REDUCE_SCATTER, eng, S, imax=512)
+        res = run_collective(MA_REDUCE_SCATTER, eng, S, imax=512)
         c = Counters.from_run(res)
         assert not c.traced and c.machine
         assert c.total("copy_bytes") == 0  # no trace stream

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.collectives.common import run_reduce_collective
+from repro.collectives.common import run_collective
 from repro.collectives.ma import MA_ALLREDUCE, MA_REDUCE_SCATTER
 from repro.models.dav import implementation_dav
 from repro.obs import (
@@ -24,7 +24,7 @@ P, S = 4, 4096
 @pytest.fixture(scope="module")
 def ma_doc():
     eng = Engine(P, machine=TINY, functional=False, trace=True)
-    run_reduce_collective(MA_REDUCE_SCATTER, eng, S, imax=512)
+    run_collective(MA_REDUCE_SCATTER, eng, S, imax=512)
     counters = Counters.from_trace(eng.trace, nranks=P)
     return eng.trace, chrome_trace(eng.trace,
                                    counters=counters.snapshot(),
@@ -106,7 +106,7 @@ class TestGoldenSchema:
 class TestWrite:
     def test_round_trips_through_disk(self, tmp_path):
         eng = Engine(P, machine=TINY, functional=False, trace=True)
-        run_reduce_collective(MA_ALLREDUCE, eng, S, imax=512)
+        run_collective(MA_ALLREDUCE, eng, S, imax=512)
         path = write_chrome_trace(eng.trace, tmp_path / "t.json")
         doc = json.loads(path.read_text())
         validate_chrome_trace(doc)

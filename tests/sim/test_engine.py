@@ -268,12 +268,12 @@ class TestLightTracing:
     itself (clocks, traffic, functional results)."""
 
     def _run(self, **kw):
-        from repro.collectives.common import run_reduce_collective
+        from repro.collectives.common import run_collective
         from repro.collectives.ma import MA_ALLREDUCE
 
         eng = Engine(4, machine=TINY, functional=True, seed=7,
                      trace=True, **kw)
-        res = run_reduce_collective(MA_ALLREDUCE, eng, 2048, imax=512)
+        res = run_collective(MA_ALLREDUCE, eng, 2048, imax=512)
         return eng, res
 
     def test_drops_access_events_only(self):

@@ -139,13 +139,13 @@ class TestMisuse:
 
 class TestTracingNeutrality:
     def test_trace_does_not_change_timing(self):
-        from repro.collectives.common import run_reduce_collective
+        from repro.collectives.common import run_collective
         from repro.collectives.ma import MA_ALLREDUCE
 
         times = {}
         for trace in (False, True):
             eng = Engine(4, machine=TINY, functional=False, trace=trace)
-            times[trace] = run_reduce_collective(
+            times[trace] = run_collective(
                 MA_ALLREDUCE, eng, 8192, imax=512
             ).time
         assert times[False] == times[True]

@@ -5,7 +5,7 @@ enabled set and step footprints the model checker depends on."""
 import numpy as np
 import pytest
 
-from repro.collectives.common import make_env, run_reduce_collective
+from repro.collectives.common import make_env, run_collective
 from repro.collectives.ma import MA_ALLREDUCE, MA_REDUCE
 from repro.sim.engine import Engine
 from repro.sim.replay import trace_to_json
@@ -14,7 +14,7 @@ from repro.sim.scheduler import ControlledScheduler, FifoScheduler
 
 def _traced_run(**engine_kwargs) -> str:
     eng = Engine(4, functional=True, seed=11, trace=True, **engine_kwargs)
-    run_reduce_collective(MA_ALLREDUCE, eng, 1024, imax=256)
+    run_collective(MA_ALLREDUCE, eng, 1024, imax=256)
     return trace_to_json(eng.trace)
 
 
@@ -50,7 +50,7 @@ class TestControlledScheduler:
     def test_records_steps_with_enabled_sets(self):
         sched = ControlledScheduler()
         eng = Engine(3, functional=True, trace=True, scheduler=sched)
-        run_reduce_collective(MA_REDUCE, eng, 384, imax=128)
+        run_collective(MA_REDUCE, eng, 384, imax=128)
         assert sched.steps, "no steps recorded"
         for step in sched.steps:
             assert step.rank in step.enabled
@@ -60,20 +60,20 @@ class TestControlledScheduler:
         # reproduces it exactly
         replay = ControlledScheduler(choices=sched.schedule)
         eng2 = Engine(3, functional=True, trace=True, scheduler=replay)
-        run_reduce_collective(MA_REDUCE, eng2, 384, imax=128)
+        run_collective(MA_REDUCE, eng2, 384, imax=128)
         assert replay.schedule == sched.schedule
         assert not replay.diverged
 
     def test_forced_prefix_is_followed(self):
         probe = ControlledScheduler()
         eng = Engine(3, functional=True, trace=True, scheduler=probe)
-        run_reduce_collective(MA_REDUCE, eng, 384, imax=128)
+        run_collective(MA_REDUCE, eng, 384, imax=128)
         # force a different first step than the min-rank default
         first_enabled = probe.steps[0].enabled
         alt = max(first_enabled)
         forced = ControlledScheduler(choices=[alt])
         eng2 = Engine(3, functional=True, trace=True, scheduler=forced)
-        run_reduce_collective(MA_REDUCE, eng2, 384, imax=128)
+        run_collective(MA_REDUCE, eng2, 384, imax=128)
         assert forced.schedule[0] == alt
         assert not forced.diverged
 

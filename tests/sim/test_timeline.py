@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.collectives.common import run_reduce_collective
+from repro.collectives.common import run_collective
 from repro.collectives.ma import MA_ALLREDUCE, MA_REDUCE_SCATTER
 from repro.sim.engine import Engine
 from repro.sim.timeline import (
@@ -18,7 +18,7 @@ from tests.conftest import TINY
 
 def traced_run(p=4, s=4096):
     eng = Engine(p, machine=TINY, functional=False, trace=True)
-    run_reduce_collective(MA_REDUCE_SCATTER, eng, s, imax=512)
+    run_collective(MA_REDUCE_SCATTER, eng, s, imax=512)
     return eng.trace
 
 
@@ -55,7 +55,7 @@ class TestRenderTimeline:
         # MA allreduce has flag waits and barrier phases; both must be
         # visible in the chart, not silently dropped
         eng = Engine(4, machine=TINY, functional=False, trace=True)
-        run_reduce_collective(MA_ALLREDUCE, eng, 4096, imax=512)
+        run_collective(MA_ALLREDUCE, eng, 4096, imax=512)
         text = render_timeline(eng.trace, width=60)
         assert "w" in text and "=" in text
 
@@ -92,7 +92,7 @@ class TestStats:
 
     def test_stall_excluded_from_busy(self):
         eng = Engine(4, machine=TINY, functional=False, trace=True)
-        run_reduce_collective(MA_ALLREDUCE, eng, 4096, imax=512)
+        run_collective(MA_ALLREDUCE, eng, 4096, imax=512)
         for r in range(4):
             st = rank_stats(eng.trace, r)
             assert st.stall > 0  # waits/barriers are accounted...
