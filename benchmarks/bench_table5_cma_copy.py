@@ -10,9 +10,8 @@ Paper values (seconds): one-to-all 0.061 vs 0.014 (4.35x); ring
 page-by-page with temporal stores only.
 """
 
-from repro.copyengine.adaptive import AdaptiveCopy
-from repro.copyengine.primitives import kernel_copy
-from repro.machine.spec import MB, NODE_A
+from repro.copyengine.primitives import copy
+from repro.machine.spec import MB, NODE_A, available_cache_capacity
 from repro.sim.engine import Engine
 
 from repro.bench import Benchmark
@@ -37,7 +36,7 @@ def _run(pattern: str, method: str) -> float:
     # receiving buffers private — the paper's setup
     srcs = [eng.alloc_shared(S, name=f"winsrc[{r}]") for r in range(P)]
     dsts = [eng.alloc(r, S, name=f"dst[{r}]") for r in range(P)]
-    ac = AdaptiveCopy(machine=NODE_A, nranks=P, work_set=2 * S * P)
+    capacity = available_cache_capacity(NODE_A, P)
 
     def program(ctx):
         r = ctx.rank
@@ -47,12 +46,11 @@ def _run(pattern: str, method: str) -> float:
             dst = dsts[r].view(off, chunk)
             sv = src.view(off, chunk)
             if method == "DMA copy":
-                kernel_copy(
-                    ctx, dst, sv,
-                    contention=P - 1 if pattern == "one-to-all" else 2,
-                )
+                copy(ctx, dst, sv, "kernel",
+                     contention=P - 1 if pattern == "one-to-all" else 2)
             else:
-                ac(ctx, dst, sv, t_flag=True)
+                copy(ctx, dst, sv, "adaptive", t_flag=True,
+                     work_set=2 * S * P, cache_capacity=capacity)
 
     res = eng.run(program)
     return res.time

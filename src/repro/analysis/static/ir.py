@@ -34,6 +34,7 @@ from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.models.dav import op_touched_bytes
+from repro.sim.replay import retuple
 
 #: schema tag for serialized IRs
 IR_SCHEMA = "repro-ir/1"
@@ -407,15 +408,8 @@ class ScheduleIR:
 # ---------------------------------------------------------------------------
 
 #: fields whose values are (possibly nested) tuples — JSON turns them
-#: into lists, so loading re-tuples them (shared idiom with
-#: :mod:`repro.sim.replay`)
+#: into lists, so loading re-tuples them
 _NODE_TUPLE_FIELDS = ("tag", "group", "arrived")
-
-
-def _retuple(value):
-    if isinstance(value, list):
-        return tuple(_retuple(v) for v in value)
-    return value
 
 
 def _to_payload(ir: ScheduleIR) -> dict:
@@ -477,7 +471,7 @@ def ir_from_json(text: str) -> ScheduleIR:
         nd["writes"] = tuple(Footprint(*fp) for fp in nd.get("writes", ()))
         for f in _NODE_TUPLE_FIELDS:
             if f in nd:
-                nd[f] = _retuple(nd[f])
+                nd[f] = retuple(nd[f])
         nodes.append(OpNode(**nd))
     buffers = [BufferInfo(**b) for b in payload.get("buffers", ())]
     edges = [Edge(src, dst, kind) for src, dst, kind

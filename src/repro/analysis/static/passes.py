@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.static.ir import IRValidationError, ScheduleIR
 from repro.analysis.static.report import Finding, Report
@@ -559,17 +559,18 @@ class BufferPass(Pass):
 # ---------------------------------------------------------------------------
 
 
-def _socket_of(rank: int, nranks: int, m: dict) -> int:
-    """Mirror of :meth:`MachineSpec.socket_of_rank` over the IR's
-    machine-constants projection."""
-    sockets = int(m["sockets"])
-    if m.get("binding") == "scatter":
-        return rank % sockets
-    cores = int(m["cores_per_socket"])
-    if nranks <= sockets * cores:
-        per = -(-nranks // sockets)
-        return min(rank // per, sockets - 1)
-    return (rank // cores) % sockets
+def _rank_socket(machine: dict, nranks: int) -> Callable[[int], int]:
+    """Rank → socket over the IR's machine-constants projection
+    (:func:`~repro.machine.spec.socket_of_rank_meta`)."""
+    sockets = int(machine.get("sockets", 1))
+    cps = int(machine.get("cores_per_socket", 1))
+    binding = str(machine.get("binding", "compact"))
+
+    def sock(rank: int) -> int:
+        return socket_of_rank_meta(rank, nranks or None, sockets=sockets,
+                                   cores_per_socket=cps, binding=binding)
+
+    return sock
 
 
 class LocalityPass(Pass):
@@ -602,10 +603,11 @@ class LocalityPass(Pass):
             else:
                 homes[info.buf] = bytearray([info.home_socket]
                                             ) * info.nbytes
+        sock_of = _rank_socket(machine, nranks)
         for n in ir.nodes:  # node order == extraction execution order
             if n.rank < 0:
                 continue
-            sock = _socket_of(n.rank, nranks, machine)
+            sock = sock_of(n.rank)
             for fp in n.writes:
                 h = homes[fp.buf]
                 lo, hi = max(fp.off, 0), min(fp.end, len(h))
@@ -618,10 +620,11 @@ class LocalityPass(Pass):
               homes: Dict[int, bytearray]) -> List[Finding]:
         cross = 0
         total = 0
+        sock_of = _rank_socket(machine, nranks)
         for n in ir.nodes:
             if n.rank < 0:
                 continue
-            sock = _socket_of(n.rank, nranks, machine)
+            sock = sock_of(n.rank)
             for fp in n.reads + n.writes:
                 h = homes[fp.buf]
                 lo, hi = max(fp.off, 0), min(fp.end, len(h))
@@ -729,16 +732,7 @@ class CriticalPathPass(Pass):
         ovh = float(machine["op_overhead"])
         intra = float(machine["sync_latency_intra"])
         inter = float(machine.get("sync_latency_inter", intra))
-        sockets = int(machine.get("sockets", 1))
-        cps = int(machine.get("cores_per_socket", 1))
-        binding = str(machine.get("binding", "compact"))
-        nranks = ir.nranks or None
-
-        def sock(rank: int) -> int:
-            return socket_of_rank_meta(
-                rank, nranks, sockets=sockets, cores_per_socket=cps,
-                binding=binding,
-            )
+        sock = _rank_socket(machine, ir.nranks)
 
         def pair_lat(r1: int, r2: int) -> float:
             return intra if sock(r1) == sock(r2) else inter

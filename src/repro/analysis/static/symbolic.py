@@ -76,6 +76,7 @@ from repro.models.dav import (
     table_row,
 )
 from repro.models.nt_model import decision_guards, region_modulus
+from repro.sim.replay import retuple
 
 #: schema tag for serialized region certificates
 SYMCERT_SCHEMA = "repro-symcert/1"
@@ -416,7 +417,7 @@ class SymbolicSchedule:
         ]
         nodes = []
         for nd in doc.get("nodes", ()):
-            shape = {f: _retuple(nd[f]) for f in _SHAPE_FIELDS}
+            shape = {f: retuple(nd[f]) for f in _SHAPE_FIELDS}
             nodes.append(SymbolicOp(
                 node=int(nd["node"]),
                 nbytes=Affine.from_json(nd["nbytes"]),
@@ -445,12 +446,6 @@ class SymbolicSchedule:
 def _jsonable(value):
     if isinstance(value, tuple):
         return [_jsonable(v) for v in value]
-    return value
-
-
-def _retuple(value):
-    if isinstance(value, list):
-        return tuple(_retuple(v) for v in value)
     return value
 
 
@@ -1020,15 +1015,6 @@ def capture_region_ir(spec, machine: MachineSpec, p: int,
     })
 
 
-def _spec_policy(spec) -> str:
-    """Copy policy the cell's guards are evaluated under (the bench
-    layer's convention: the library stack always runs adaptive)."""
-    runner = spec.describe()
-    if runner.get("family") == "yhccl":
-        return "adaptive"
-    return runner.get("policy", "memmove")
-
-
 CaptureFn = Callable[[object, MachineSpec, int, int], ScheduleIR]
 
 
@@ -1050,7 +1036,7 @@ def certify_region(spec, machine: MachineSpec, p: int, base: int, *,
     if capture is None:
         capture = capture_region_ir
     imax = resolve_imax(spec.imax, machine)
-    policy = _spec_policy(spec)
+    policy = spec.guard_policy
     case = f"{spec.family}/{spec.kind} p={p} s={base}"
     report = Report(case=case)
     modulus = region_modulus(p, machine)

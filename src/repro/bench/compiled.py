@@ -116,14 +116,6 @@ def _memo_put(memo_key: Tuple[str, str], cs: CompiledSchedule) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cell_policy(runner: dict) -> str:
-    """The copy policy a cell's guards are evaluated under: the library
-    stack always runs the adaptive switch; algorithm cells pin it."""
-    if runner.get("family") == "yhccl":
-        return "adaptive"
-    return runner.get("policy", "memmove")
-
-
 def cell_guards(cell: dict) -> dict:
     """Decision guards of one cell payload (see
     :func:`repro.models.nt_model.decision_guards`)."""
@@ -132,11 +124,10 @@ def cell_guards(cell: dict) -> dict:
     from repro.models.nt_model import decision_guards
 
     machine = PRESETS[cell["machine"]]
-    runner = cell["runner"]
-    imax = resolve_imax(runner.get("imax"), machine)
-    return decision_guards(runner["kind"], cell["nbytes"], cell["p"],
-                           machine, imax=imax,
-                           policy=_cell_policy(runner))
+    spec = RunnerSpec.from_dict(cell["runner"])
+    return decision_guards(spec.kind, cell["nbytes"], cell["p"], machine,
+                           imax=resolve_imax(spec.imax, machine),
+                           policy=spec.guard_policy)
 
 
 def schedule_descriptor(cell: dict, *, poly: bool = False,
@@ -217,7 +208,7 @@ def capture_schedule(spec: RunnerSpec, machine, p: int,
     cs.meta["guards"] = decision_guards(
         spec.kind, nbytes, p, machine,
         imax=resolve_imax(spec.imax, machine),
-        policy=_cell_policy(spec.describe()))
+        policy=spec.guard_policy)
     return cs
 
 

@@ -19,9 +19,19 @@ from repro.bench.runners import (
     vendor_cell,
     yhccl_cell,
 )
+from repro.collectives.common import KINDS
 
+#: the collective kinds each runner family may run
+FAMILY_KINDS = {
+    "reduce": ("reduce_scatter", "reduce", "allreduce"),
+    "bcast": ("bcast",),
+    "allgather": ("allgather",),
+    "yhccl": KINDS,
+    "vendor": KINDS,
+    "hierarchy": ("allreduce",),
+}
 #: runner families a spec may name
-FAMILIES = ("reduce", "bcast", "allgather", "yhccl", "vendor", "hierarchy")
+FAMILIES = tuple(FAMILY_KINDS)
 
 
 @dataclass(frozen=True)
@@ -39,8 +49,9 @@ class RunnerSpec:
       names the implementation; ``params`` holds the cluster config:
       ``nnodes``, ``mode``, ``lanes``, ``network``, ``pipelined``).
 
-    ``kind`` is the collective ("allreduce", "bcast", ...).  ``imax`` of
-    ``None`` means the per-platform tuned slice cap.
+    ``kind`` is the collective ("allreduce", "bcast", ...), one the
+    family runs (:data:`FAMILY_KINDS`).  ``imax`` of ``None`` means the
+    per-platform tuned slice cap.
     """
 
     family: str
@@ -58,6 +69,19 @@ class RunnerSpec:
                 f"unknown runner family {self.family!r}; "
                 f"choose from {FAMILIES}"
             )
+        kinds = FAMILY_KINDS[self.family]
+        if self.kind not in kinds:
+            raise ValueError(
+                f"runner family {self.family!r} cannot run kind "
+                f"{self.kind!r}; it runs {', '.join(kinds)}"
+            )
+
+    @property
+    def guard_policy(self) -> str:
+        """The copy policy this column's decision guards are evaluated
+        under: the library stack always runs the adaptive switch;
+        algorithm cells pin theirs."""
+        return "adaptive" if self.family == "yhccl" else self.policy
 
     def describe(self) -> dict:
         """Stable dict form — the cache-key and wire representation."""

@@ -38,6 +38,7 @@ from repro.collectives.rabenseifner import (
     RabenseifnerReduceScatter,
 )
 from repro.collectives.rg import RGReduce
+from repro.copyengine.primitives import kernel_copy_time, resolve_nt
 
 KB = 1024
 MB = 1024 * KB
@@ -123,11 +124,6 @@ class XPMEMAllreduce:
             return
         parts = partition(s, p)
         recv = env.recvbufs[r]
-        thr = (
-            env.engine.machine.memmove_nt_threshold
-            if env.engine.machine
-            else 1 << 62
-        )
         for owner in range(p):
             off, n = parts[owner]
             if not n or owner == r:
@@ -137,7 +133,8 @@ class XPMEMAllreduce:
             # the store path from the chunk size alone.  All ranks read
             # the same owner block: cooperative load.
             ctx.copy(recv.view(off, n), env.recvbufs[owner].view(off, n),
-                     nt=n >= thr, policy="memmove", load_concurrency=2)
+                     nt=resolve_nt("memmove", n, env.engine.machine),
+                     policy="memmove", load_concurrency=2)
 
 
 class XPMEMReduce:
@@ -171,18 +168,14 @@ class XPMEMReduce:
                                op=env.op)
         ctx.post((tag, "part", r))
         if r == env.root:
-            thr = (
-                env.engine.machine.memmove_nt_threshold
-                if env.engine.machine
-                else 1 << 62
-            )
             for owner in range(p):
                 off, n = partition(s, p)[owner]
                 if not n:
                     continue
                 yield ctx.wait((tag, "part", owner))
                 ctx.copy(env.recvbufs[r].view(off, n), env.shm.view(off, n),
-                         nt=n >= thr, policy="memmove", concurrency=1)
+                         nt=resolve_nt("memmove", n, env.engine.machine),
+                         policy="memmove", concurrency=1)
 
 
 class XPMEMBcast:
@@ -207,18 +200,14 @@ class XPMEMBcast:
             return
         yield ctx.barrier()
         _xpmem_attach(ctx, env, 1)
-        thr = (
-            env.engine.machine.memmove_nt_threshold
-            if env.engine.machine
-            else 1 << 62
-        )
         chunk = max(8, -(-(s // p) // 8) * 8)
         src = env.sendbufs[env.root]
         for off, n in subslices(0, s, chunk):
             # all non-roots stream the *same* source: each byte crosses
             # the memory system once, cooperatively (load_concurrency)
             ctx.copy(env.recvbufs[r].view(off, n), src.view(off, n),
-                     nt=n >= thr, policy="memmove", load_concurrency=2)
+                     nt=resolve_nt("memmove", n, env.engine.machine),
+                     policy="memmove", load_concurrency=2)
 
 
 class XPMEMAllgather:
@@ -241,17 +230,13 @@ class XPMEMAllgather:
             return
         yield ctx.barrier()
         _xpmem_attach(ctx, env, p - 1)
-        thr = (
-            env.engine.machine.memmove_nt_threshold
-            if env.engine.machine
-            else 1 << 62
-        )
         chunk = max(8, -(-(s // p) // 8) * 8)
         for a in range(p):
             src = env.sendbufs[a]
             for off, n in subslices(0, s, chunk):
                 ctx.copy(recv.view(a * s + off, n), src.view(off, n),
-                         nt=n >= thr, policy="memmove", load_concurrency=2)
+                         nt=resolve_nt("memmove", n, env.engine.machine),
+                         policy="memmove", load_concurrency=2)
 
 
 # ---------------------------------------------------------------------------
@@ -283,17 +268,6 @@ class CMARingReduceScatter:
         yield from _cma_ring_rs(ctx, env, tag=("cma-rs", self.name),
                                 final_in_shm=False,
                                 kernel_factor=self.kernel_factor)
-
-
-def _kernel_extra(env: CollectiveEnv, nbytes: int, factor: float,
-                  contention: int = 1) -> float:
-    m = env.engine.machine
-    if m is None:
-        return 0.0
-    pages = -(-nbytes // m.kernel_page_size)
-    return factor * (
-        m.kernel_syscall_overhead + pages * m.kernel_page_overhead * contention
-    )
 
 
 def _cma_ring_rs(ctx, env: CollectiveEnv, *, tag, final_in_shm: bool,
@@ -333,7 +307,8 @@ def _cma_ring_rs(ctx, env: CollectiveEnv, *, tag, final_in_shm: bool,
                 else env.params[("cma_acc", left)][(k - 1) % 2].view(0, r_len)
             )
             ctx.copy(incoming.view(0, r_len), src, nt=False, policy="kernel",
-                     extra_time=_kernel_extra(env, r_len, kernel_factor))
+                     extra_time=kernel_copy_time(env.engine.machine, r_len,
+                                                 factor=kernel_factor))
         ctx.post((tag, "copied", left, k))
         last = k == p - 2
         if last:
@@ -419,8 +394,9 @@ class CMABcast:
         for off, n in subslices(0, s, chunk):
             ctx.copy(env.recvbufs[r].view(off, n), src.view(off, n),
                      nt=False, policy="kernel", load_concurrency=2,
-                     extra_time=_kernel_extra(env, n, self.kernel_factor,
-                                              contention=max(1, p - 1)))
+                     extra_time=kernel_copy_time(
+                         env.engine.machine, n, contention=max(1, p - 1),
+                         factor=self.kernel_factor))
 
 
 class CMAAllgather:
@@ -451,8 +427,9 @@ class CMAAllgather:
             src = env.sendbufs[a]
             ctx.copy(recv.view(a * s + 0, s), src.view(0, s), nt=False,
                      policy="kernel",
-                     extra_time=_kernel_extra(env, s, self.kernel_factor,
-                                              contention=2))
+                     extra_time=kernel_copy_time(
+                         env.engine.machine, s, contention=2,
+                         factor=self.kernel_factor))
 
 
 # ---------------------------------------------------------------------------

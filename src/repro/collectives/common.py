@@ -14,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.copyengine.primitives import resolve_nt
 from repro.machine.spec import CACHE_LINE, KB, available_cache_capacity
 from repro.sim.buffers import BufView, SharedBuffer
 from repro.sim.engine import Engine, RunResult
@@ -113,32 +114,13 @@ class CollectiveEnv:
                 self.engine.machine, self.p
             )
 
-    # ---- adaptive-copy plumbing (Algorithm 1) -----------------------------
-
-    def use_nt(self, nbytes: int, t_flag: bool) -> bool:
-        """Resolve the store path for one copy of ``nbytes``.
+    def copy(self, ctx, dst: BufView, src: BufView, *, t_flag: bool,
+             concurrency=None, load_concurrency=None) -> None:
+        """One data-movement copy under ``copy_policy``.
 
         ``t_flag`` is True when the *stored* data is non-temporal (will
         not be reused soon) — e.g. copy-outs to receiving buffers.
         """
-        policy = self.copy_policy
-        if policy == "t":
-            return False
-        if policy == "nt":
-            return True
-        if policy == "memmove":
-            thr = (
-                self.engine.machine.memmove_nt_threshold
-                if self.engine.machine
-                else 1 << 62
-            )
-            return nbytes >= thr
-        if policy == "adaptive":
-            return bool(t_flag) and self.work_set > self.cache_capacity
-        raise ValueError(f"unknown copy policy {policy!r}")
-
-    def copy(self, ctx, dst: BufView, src: BufView, *, t_flag: bool,
-             concurrency=None, load_concurrency=None) -> None:
         extra = 0.0
         cell = self.params.get("cell_overhead")
         if cell is not None:
@@ -146,9 +128,12 @@ class CollectiveEnv:
             # of double-copy send/recv implementations (MPICH model).
             cost, size = cell
             extra = cost * (-(-dst.nbytes // size))
-        ctx.copy(dst, src, nt=self.use_nt(dst.nbytes, t_flag),
-                 policy=self.copy_policy, concurrency=concurrency,
-                 load_concurrency=load_concurrency, extra_time=extra)
+        nt = resolve_nt(self.copy_policy, dst.nbytes, self.engine.machine,
+                        t_flag=t_flag, work_set=self.work_set,
+                        cache_capacity=self.cache_capacity)
+        ctx.copy(dst, src, nt=nt, policy=self.copy_policy,
+                 concurrency=concurrency, load_concurrency=load_concurrency,
+                 extra_time=extra)
 
     def copy_out(self, ctx, dst: BufView, src: BufView, *,
                  concurrency=None) -> None:

@@ -1,32 +1,19 @@
-"""Data-copy primitives and the adaptive non-temporal store heuristic.
+"""The copy layer and the sliced-copy microbenchmark (Section 4).
 
-This subpackage is the reproduction of Section 4: the ``t-copy`` /
-``nt-copy`` / ``memmove`` primitives, the ``adaptive-copy`` decision
-procedure (Algorithm 1) driven by the working-set-vs-cache model, the
-kernel-assisted (CMA-style) copy used by the vendor baselines, and the
-sliced STREAM-COPY microbenchmark behind Table 4 and Figure 3.
+:mod:`repro.copyengine.primitives` decides every copy's store path
+(``t``, ``nt``, ``memmove`` or Algorithm 1's ``adaptive``) and charges
+the kernel-assisted (CMA-style) copy of the vendor baselines;
+:mod:`repro.copyengine.stream` is the sliced STREAM-COPY
+microbenchmark behind Table 4 and Figure 3.
 """
 
-from repro.copyengine.primitives import (
-    CopyPolicy,
-    resolve_nt,
-    t_copy,
-    nt_copy,
-    memmove,
-    kernel_copy,
-)
-from repro.copyengine.adaptive import AdaptiveCopy, adaptive_copy
+from repro.copyengine.primitives import copy, kernel_copy_time, resolve_nt
 from repro.copyengine.stream import SlicedCopyBenchmark, SlicedCopyResult
 
 __all__ = [
-    "CopyPolicy",
+    "copy",
+    "kernel_copy_time",
     "resolve_nt",
-    "t_copy",
-    "nt_copy",
-    "memmove",
-    "kernel_copy",
-    "AdaptiveCopy",
-    "adaptive_copy",
     "SlicedCopyBenchmark",
     "SlicedCopyResult",
 ]

@@ -1,63 +1,51 @@
-"""Copy primitives: temporal, non-temporal, memmove and kernel-assisted.
+"""The copy layer: every copy's store path is decided and charged here.
 
-All primitives execute through :meth:`repro.sim.engine.RankCtx.copy`;
-they differ only in the store path:
+All copies execute through :meth:`repro.sim.engine.RankCtx.copy`; the
+copy policies differ only in the store path, and the kernel-assisted
+copy also in a fixed time charge:
 
-* :func:`t_copy` — prefetched loads + regular (write-allocate) stores.
-  A store miss raises an RFO and the dirty line streams back later:
-  3 bytes of memory traffic per byte copied when the destination is
-  cold and the working set exceeds the cache.
-* :func:`nt_copy` — prefetched loads + non-temporal stores: the data
-  bypasses the cache, 2 bytes of traffic per byte copied, but a
-  subsequent load of the destination misses.
-* :func:`memmove` — glibc-style: temporal below the library's size
+* ``"t"`` — prefetched loads + regular (write-allocate) stores.  A
+  store miss raises an RFO and the dirty line streams back later: 3
+  bytes of memory traffic per byte copied when the destination is cold
+  and the working set exceeds the cache.
+* ``"nt"`` — prefetched loads + non-temporal stores: the data bypasses
+  the cache, 2 bytes of traffic per byte copied, but a subsequent load
+  of the destination misses.
+* ``"memmove"`` — glibc-style: temporal below the library's size
   threshold, non-temporal above it.  The paper's point (Section 2.2) is
   that this thresholds on the *copy size only*, which misjudges
   pipelined collectives that copy small slices of huge messages.
-* :func:`kernel_copy` — CMA-style kernel-assisted single copy: the
-  destination process reads the source pages directly (one copy instead
-  of two), but pays a syscall, per-page pinning costs, optional page-lock
-  contention, and — per Linux's ``process_vm_readv`` implementation —
-  never uses non-temporal stores (Table 5's finding).
+* ``"adaptive"`` — Algorithm 1 (Section 4.2).  Its inputs describe the
+  *algorithm* rather than the single call: ``t_flag``, True when the
+  stored data is not reused soon (e.g. the copy-out to a receiving
+  buffer); ``work_set`` (W), the collective's sending + receiving +
+  auxiliary bytes across the node; and ``cache_capacity`` (C),
+  ``c' + p * c''`` for a non-inclusive LLC, else ``c'``
+  (:func:`repro.machine.spec.available_cache_capacity`).
+* ``"kernel"`` — CMA-style kernel-assisted single copy
+  (``process_vm_readv``): the destination process reads the source
+  pages directly (one copy instead of two), but pays a syscall,
+  per-page pinning costs and optional page-lock contention
+  (:func:`kernel_copy_time`), and — per Linux's implementation — never
+  uses non-temporal stores (Table 5's finding).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Optional
+
+from repro.machine.spec import MachineSpec
 from repro.sim.buffers import BufView
 from repro.sim.engine import RankCtx
 
 
-@dataclass(frozen=True)
-class CopyPolicy:
-    """A named store-path selection rule.
-
-    ``kind`` is one of ``"t"``, ``"nt"``, ``"memmove"``, ``"adaptive"``.
-    For ``"adaptive"`` the Algorithm-1 inputs must be provided:
-    ``t_flag`` (True when the *stored* data is non-temporal, i.e. not
-    reused soon), ``work_set`` (W) and ``cache_capacity`` (C).
-    """
-
-    kind: str = "t"
-    t_flag: bool = False
-    work_set: int = 0
-    cache_capacity: int = 0
-
-    def uses_nt(self, nbytes: int, nt_threshold: int) -> bool:
-        return resolve_nt(
-            self.kind,
-            nbytes,
-            nt_threshold,
-            t_flag=self.t_flag,
-            work_set=self.work_set,
-            cache_capacity=self.cache_capacity,
-        )
-
-
-def resolve_nt(kind: str, nbytes: int, nt_threshold: int, *,
+def resolve_nt(policy: str, nbytes: int, machine: Optional[MachineSpec], *,
                t_flag: bool = False, work_set: int = 0,
                cache_capacity: int = 0) -> bool:
-    """Decide whether a copy uses non-temporal stores.
+    """Decide whether a copy of ``nbytes`` uses non-temporal stores.
+
+    ``memmove`` never goes NT without a machine (there is no library
+    threshold to cross).
 
     Note on Algorithm 1: the paper's listing prints the branches as
     ``if t and W > C then t-copy else nt-copy``, but the surrounding
@@ -66,56 +54,49 @@ def resolve_nt(kind: str, nbytes: int, nt_threshold: int, *,
     (``t == 1``) **and** the working set exceeds the available cache
     (``W > C``).  We implement that intent.
     """
-    if kind == "t":
+    if policy == "t":
         return False
-    if kind == "nt":
+    if policy == "nt":
         return True
-    if kind == "memmove":
-        return nbytes >= nt_threshold
-    if kind == "adaptive":
+    if policy == "memmove":
+        return machine is not None and nbytes >= machine.memmove_nt_threshold
+    if policy == "adaptive":
         return bool(t_flag) and work_set > cache_capacity
-    raise ValueError(f"unknown copy policy {kind!r}")
+    raise ValueError(f"unknown copy policy {policy!r}")
 
 
-def t_copy(ctx: RankCtx, dst: BufView, src: BufView) -> None:
-    """Copy with prefetched loads and regular temporal stores."""
-    ctx.copy(dst, src, nt=False, policy="t")
-
-
-def nt_copy(ctx: RankCtx, dst: BufView, src: BufView) -> None:
-    """Copy with prefetched loads and non-temporal stores."""
-    ctx.copy(dst, src, nt=True, policy="nt")
-
-
-def memmove(ctx: RankCtx, dst: BufView, src: BufView) -> None:
-    """C-library copy: store path thresholds on the copy size alone."""
-    thr = ctx.machine.memmove_nt_threshold if ctx.machine else 1 << 62
-    ctx.copy(dst, src, nt=dst.nbytes >= thr, policy="memmove")
-
-
-def kernel_copy(ctx: RankCtx, dst: BufView, src: BufView, *,
-                contention: int = 1) -> None:
-    """CMA-style kernel-assisted copy (``process_vm_readv``).
+def kernel_copy_time(machine: Optional[MachineSpec], nbytes: int, *,
+                     contention: int = 1, factor: float = 1.0) -> float:
+    """Extra time of one kernel-assisted copy of ``nbytes``.
 
     ``contention`` is the number of processes concurrently walking the
     same source pages; the kernel serializes them on the page locks
-    (Section 5.6), so the per-page cost scales with it.
+    (Section 5.6), so the per-page cost scales with it.  ``factor``
+    scales the whole charge (Intel MPI's tighter tuning).
     """
     if contention < 1:
         raise ValueError("contention must be >= 1")
-    extra = 0.0
-    if ctx.machine is not None:
-        m = ctx.machine
-        pages = -(-dst.nbytes // m.kernel_page_size)
-        extra = m.kernel_syscall_overhead + pages * m.kernel_page_overhead * contention
-    ctx.copy(dst, src, nt=False, policy="kernel", extra_time=extra)
+    if machine is None:
+        return 0.0
+    pages = -(-nbytes // machine.kernel_page_size)
+    return factor * (
+        machine.kernel_syscall_overhead
+        + pages * machine.kernel_page_overhead * contention
+    )
 
 
-def copy_with_policy(ctx: RankCtx, dst: BufView, src: BufView,
-                     policy: CopyPolicy, *, contention: int = 1) -> None:
-    """Dispatch a copy through a :class:`CopyPolicy` (or kernel copy)."""
-    if policy.kind == "kernel":
-        kernel_copy(ctx, dst, src, contention=contention)
+def copy(ctx: RankCtx, dst: BufView, src: BufView, policy: str, *,
+         t_flag: bool = False, work_set: int = 0, cache_capacity: int = 0,
+         contention: int = 1) -> None:
+    """One copy under ``policy``: a store-path rule of
+    :func:`resolve_nt` (``adaptive`` reads ``t_flag``, ``work_set`` and
+    ``cache_capacity``) or ``"kernel"`` (``contention`` concurrent
+    page walkers, see :func:`kernel_copy_time`)."""
+    if policy == "kernel":
+        ctx.copy(dst, src, nt=False, policy="kernel",
+                 extra_time=kernel_copy_time(ctx.machine, dst.nbytes,
+                                             contention=contention))
         return
-    thr = ctx.machine.memmove_nt_threshold if ctx.machine else 1 << 62
-    ctx.copy(dst, src, nt=policy.uses_nt(dst.nbytes, thr), policy=policy.kind)
+    ctx.copy(dst, src, policy=policy,
+             nt=resolve_nt(policy, dst.nbytes, ctx.machine, t_flag=t_flag,
+                           work_set=work_set, cache_capacity=cache_capacity))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from repro.machine.spec import MachineSpec
 from repro.sim.engine import Engine
-from repro.copyengine.primitives import CopyPolicy, copy_with_policy
+from repro.copyengine.primitives import copy
 
 
 @dataclass
@@ -65,7 +65,7 @@ class SlicedCopyBenchmark:
         self.nranks = nranks
         self.total_bytes = total_bytes
 
-    def _run(self, policy: CopyPolicy, slice_size: int, src_shared_bytes: int = 0,
+    def _run(self, policy: str, slice_size: int, src_shared_bytes: int = 0,
              warm_src: bool = False) -> SlicedCopyResult:
         if slice_size <= 0:
             raise ValueError("slice size must be positive")
@@ -100,13 +100,12 @@ class SlicedCopyBenchmark:
             src = srcs[ctx.rank]
             dst = dsts[ctx.rank]
             for off in range(0, per_rank, slice_size):
-                copy_with_policy(
-                    ctx, dst.view(off, slice_size), src.view(off, slice_size), policy
-                )
+                copy(ctx, dst.view(off, slice_size), src.view(off, slice_size),
+                     policy)
 
         res = eng.run(program)
         return SlicedCopyResult(
-            policy=policy.kind,
+            policy=policy,
             slice_size=slice_size,
             bytes_copied=per_rank * self.nranks,
             time=res.time,
@@ -117,7 +116,7 @@ class SlicedCopyBenchmark:
 
     def run_policy(self, kind: str, slice_size: int) -> SlicedCopyResult:
         """Bandwidth of one policy at one slice size (Table 4 cell)."""
-        return self._run(CopyPolicy(kind=kind), slice_size)
+        return self._run(kind, slice_size)
 
     def table4(self, slice_sizes, policies=("memmove", "t", "nt")) -> dict:
         """The full Table 4 grid: policy x slice size -> bandwidth."""
@@ -141,6 +140,6 @@ class SlicedCopyBenchmark:
             machine = machine.with_(memmove_nt_threshold=nt_threshold)
         bench = SlicedCopyBenchmark(machine, self.nranks, self.total_bytes)
         return bench._run(
-            CopyPolicy(kind="memmove"), slice_size,
-            src_shared_bytes=shared_bytes, warm_src=True,
+            "memmove", slice_size, src_shared_bytes=shared_bytes,
+            warm_src=True,
         )

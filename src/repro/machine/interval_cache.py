@@ -8,10 +8,11 @@ as disjoint dirty/clean **intervals** per buffer, so an access that
 overlaps cached data hits on exactly the overlapped bytes and misses on
 the rest, regardless of the boundaries previous accesses used.
 
-It exists to *quantify* the region model's approximation (the cache
-ablation runs all three models over the same access streams) and to
-serve workloads with genuinely unaligned reuse.  It is a few times
-slower than the region model and API-compatible with it.
+It exists to *quantify* the region model's approximation: the cache
+ablation (``benchmarks/bench_ablation_cache_model.py``) drives all
+three models directly over the same access streams.
+:class:`~repro.machine.memory.MemorySystem` always runs the region
+model; this one is a few times slower and API-compatible with it.
 """
 
 from __future__ import annotations

@@ -73,23 +73,12 @@ class MemorySystem:
     #: heuristic still uses the paper's nominal capacity model.
     CACHE_RETENTION = 0.75
 
-    def __init__(self, machine: MachineSpec, nranks: int, *,
-                 cache_model: str = "region"):
+    def __init__(self, machine: MachineSpec, nranks: int):
         machine.validate_nranks(nranks)
         self.machine = machine
         self.nranks = nranks
         cap = int(self.CACHE_RETENTION * machine.socket.effective_cache_capacity)
-        if cache_model == "region":
-            self.caches = [RegionCache(cap) for _ in range(machine.sockets)]
-        elif cache_model == "interval":
-            from repro.machine.interval_cache import IntervalCache
-
-            self.caches = [IntervalCache(cap) for _ in range(machine.sockets)]
-        else:
-            raise ValueError(
-                f"unknown cache model {cache_model!r} "
-                "(choose 'region' or 'interval')"
-            )
+        self.caches = [RegionCache(cap) for _ in range(machine.sockets)]
         self.counters = TrafficCounters()
         self.per_rank = [TrafficCounters() for _ in range(nranks)]
         self._rank_socket = [machine.socket_of_rank(r, nranks) for r in range(nranks)]

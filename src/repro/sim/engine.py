@@ -400,21 +400,18 @@ class Engine:
         trace: bool = False,
         trace_accesses: bool = True,
         seed: int = 12345,
-        schedule_seed: Optional[int] = None,
-        cache_model: str = "region",
         scheduler: Optional[SchedulerPolicy] = None,
         sanitize: bool = False,
     ):
-        """``schedule_seed`` randomizes the order runnable ranks are
-        scheduled in.  A correct collective synchronizes every cross-rank
-        dependency, so its *functional result must be identical under
-        every schedule* — the property tests drive this as a concurrency
-        fuzzer.  ``None`` keeps the deterministic FIFO order.
-
-        ``scheduler`` plugs in a :class:`~repro.sim.scheduler.SchedulerPolicy`
+        """``scheduler`` plugs in a :class:`~repro.sim.scheduler.SchedulerPolicy`
         (default :class:`~repro.sim.scheduler.FifoScheduler`, which is
-        byte-for-byte the historical behaviour); controlled policies
-        let :mod:`repro.analysis.mc` enumerate interleavings.
+        byte-for-byte the historical behaviour).
+        ``FifoScheduler(seed=...)`` randomizes the order runnable ranks
+        are scheduled in: a correct collective synchronizes every
+        cross-rank dependency, so its *functional result must be
+        identical under every schedule* — the property tests drive this
+        as a concurrency fuzzer.  Controlled policies let
+        :mod:`repro.analysis.mc` enumerate interleavings.
 
         ``sanitize`` attaches byte-granular shadow state to every
         buffer this engine allocates, flagging uninitialized reads and
@@ -437,19 +434,10 @@ class Engine:
         self.machine = machine
         self.functional = functional
         self.dtype = np.dtype(dtype)
-        self.memsys = (
-            MemorySystem(machine, nranks, cache_model=cache_model)
-            if machine
-            else None
-        )
+        self.memsys = MemorySystem(machine, nranks) if machine else None
         self.trace: Optional[Trace] = Trace() if trace else None
         self.trace_accesses = bool(trace_accesses)
         self.rng = np.random.default_rng(seed)
-        self._sched_rng = (
-            np.random.default_rng(schedule_seed)
-            if schedule_seed is not None
-            else None
-        )
         self.scheduler: SchedulerPolicy = scheduler or FifoScheduler()
         self.sanitizer: Optional[Sanitizer] = Sanitizer() if sanitize else None
         self.buffers: list = []

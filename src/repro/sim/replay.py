@@ -46,9 +46,12 @@ _FIELDS = ("rank", "kind", "nbytes", "src", "dst", "nt", "policy",
 _TUPLE_FIELDS = ("tag", "group")
 
 
-def _retuple(value):
+def retuple(value):
+    """Turn (nested) JSON lists back into tuples — the one loader-side
+    inverse of JSON's tuple-to-list conversion, shared by the trace,
+    IR and symbolic-schedule documents."""
     if isinstance(value, list):
-        return tuple(_retuple(v) for v in value)
+        return tuple(retuple(v) for v in value)
     return value
 
 
@@ -90,7 +93,7 @@ def trace_from_json(text: str) -> Trace:
             raise ValueError(f"unknown trace fields {sorted(unknown)}")
         for f in _TUPLE_FIELDS:
             if f in rec:
-                rec[f] = _retuple(rec[f])
+                rec[f] = retuple(rec[f])
         trace.add(OpRecord(**rec))
     for span in payload.get("spans", ()):
         trace.add_span(SpanRecord(**span))

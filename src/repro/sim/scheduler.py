@@ -33,6 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Deque, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 
 class SchedulerPolicy:
     """Base class for engine scheduling policies.
@@ -59,17 +61,21 @@ class SchedulerPolicy:
 
 class FifoScheduler(SchedulerPolicy):
     """The engine's historical schedule: FIFO over runnable ranks, with
-    the optional ``schedule_seed`` rotation used by the fuzzing tests.
+    an optional seeded rotation used by the fuzzing tests.
 
-    This policy is byte-for-byte identical to the pre-policy engine:
-    it consumes the engine's schedule RNG in exactly the same pattern
-    (one draw per decision with more than one runnable rank).
+    ``seed=None`` is plain FIFO.  With a seed, every decision with more
+    than one runnable rank draws once from the policy's RNG and rotates
+    the runnable deque by the draw.  The RNG lives as long as the
+    policy, so an engine's successive runs continue one stream.
     """
 
     controlled = False
 
+    def __init__(self, seed: Optional[int] = None):
+        self._rng = np.random.default_rng(seed) if seed is not None else None
+
     def pick(self, engine, candidates: "Deque[int]") -> int:
-        rng = engine._sched_rng
+        rng = self._rng
         if rng is not None and len(candidates) > 1:
             candidates.rotate(int(rng.integers(0, len(candidates))))
         return candidates.popleft()

@@ -14,6 +14,7 @@ from repro.bench import (
     yhccl_spec,
 )
 from repro.bench.registry import resolve_algorithm
+from repro.bench.spec import FAMILY_KINDS
 from repro.bench.sizes import quick_subsample
 from repro.collectives.switching import platform_imax
 from repro.machine.spec import KB, MB, NODE_A, NODE_B
@@ -45,6 +46,28 @@ class TestRunnerSpec:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="unknown runner family"):
             RunnerSpec(family="alltoall", kind="alltoall")
+
+    @pytest.mark.parametrize("family,kind", [
+        ("bcast", "allreduce"),
+        ("reduce", "bcast"),
+        ("allgather", "reduce_scatter"),
+        ("hierarchy", "bcast"),
+        ("yhccl", "alltoall"),
+        ("vendor", "alltoall"),
+    ])
+    def test_family_contradicting_kind_rejected(self, family, kind):
+        """A spec may not name a kind its family does not run (a bcast
+        spec of kind allreduce used to resolve to ma-allreduce)."""
+        with pytest.raises(ValueError, match="cannot run kind") as exc:
+            RunnerSpec(family=family, kind=kind, algorithm="ma")
+        for allowed in FAMILY_KINDS[family]:
+            assert allowed in str(exc.value)
+
+    def test_guard_policy(self):
+        # the library stack always runs the adaptive switch
+        assert yhccl_spec("allreduce").guard_policy == "adaptive"
+        assert reduce_spec("ma", "allreduce", "nt").guard_policy == "nt"
+        assert bcast_spec("pipelined").guard_policy == "memmove"
 
 
 class TestRegistry:

@@ -98,6 +98,18 @@ class TestSubslices:
             subslices(0, 16, 0)
 
 
+def _env_copy(env, *, t_flag):
+    """Run one ``env.copy`` on rank 0; return its (nt, policy) record."""
+    def program(ctx):
+        if ctx.rank == 0:
+            env.copy(ctx, env.recvbufs[0].view(0, 8),
+                     env.sendbufs[0].view(0, 8), t_flag=t_flag)
+
+    env.engine.run(program)
+    rec = env.engine.trace.records[-1]
+    return rec.nt, rec.policy
+
+
 class TestCollectiveEnv:
     def test_rejects_unknown_op(self):
         eng = Engine(2, functional=True)
@@ -106,11 +118,11 @@ class TestCollectiveEnv:
                           s=8, p=2, op="xor")
 
     def test_policy_resolution(self):
-        eng = Engine(2, machine=TINY, functional=False)
+        eng = Engine(2, machine=TINY, functional=False, trace=True)
         env = make_env(MA_ALLREDUCE, engine=eng, s=1024, copy_policy="nt")
-        assert env.use_nt(8, t_flag=False) is True
+        assert _env_copy(env, t_flag=False) == (True, "nt")
         env.copy_policy = "t"
-        assert env.use_nt(1 << 30, t_flag=True) is False
+        assert _env_copy(env, t_flag=True) == (False, "t")
 
     def test_adaptive_uses_machine_capacity(self):
         eng = Engine(2, machine=TINY, functional=False)
@@ -123,7 +135,7 @@ class TestCollectiveEnv:
         env = make_env(MA_ALLREDUCE, engine=eng, s=1024)
         env.copy_policy = "weird"
         with pytest.raises(ValueError):
-            env.use_nt(8, t_flag=True)
+            _env_copy(env, t_flag=True)
 
     def test_make_env_buffers(self):
         eng = Engine(3, functional=True)

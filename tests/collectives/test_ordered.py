@@ -26,6 +26,7 @@ from repro.collectives.ordered import (
 )
 from repro.collectives.switching import select
 from repro.sim.engine import Engine
+from repro.sim.scheduler import FifoScheduler
 
 from tests.conftest import TINY
 
@@ -86,7 +87,8 @@ class TestOrderedCorrectness:
 
     def test_schedule_fuzzing_ordered(self):
         for seed in (3, 17, 91):
-            eng = Engine(5, functional=True, schedule_seed=seed)
+            eng = Engine(5, functional=True,
+                         scheduler=FifoScheduler(seed=seed))
             run_collective(ORDERED_ALLREDUCE, eng, 4096, op="sub", imax=256)
 
 

@@ -10,6 +10,7 @@ from repro.collectives.vector import (
     run_reduce_scatter_v,
 )
 from repro.sim.engine import Engine
+from repro.sim.scheduler import FifoScheduler
 
 from tests.conftest import TINY
 
@@ -113,7 +114,8 @@ class TestAllgatherV:
 
     def test_schedule_fuzzing(self):
         for seed in (5, 9):
-            eng = Engine(4, functional=True, schedule_seed=seed)
+            eng = Engine(4, functional=True,
+                         scheduler=FifoScheduler(seed=seed))
             run_allgather_v(eng, [32, 96, 0, 64], imax=64)
 
 

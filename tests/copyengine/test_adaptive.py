@@ -2,43 +2,26 @@
 
 import pytest
 
-from repro.copyengine.adaptive import AdaptiveCopy, adaptive_copy
+from repro.copyengine.primitives import copy, resolve_nt
 from repro.machine.spec import NODE_A, NODE_B, available_cache_capacity, KB
 from repro.sim.engine import Engine
 
 from tests.conftest import TINY
 
 
+def _adaptive_nt(machine, p, work_set, t_flag):
+    return resolve_nt("adaptive", 8, machine, t_flag=t_flag,
+                      work_set=work_set,
+                      cache_capacity=available_cache_capacity(machine, p))
+
+
 class TestAdaptiveCopyDecision:
     def test_nt_requires_flag_and_overflow(self):
-        ac = AdaptiveCopy(machine=TINY, nranks=8, work_set=1 << 30)
-        assert ac.would_use_nt(True) is True
-        assert ac.would_use_nt(False) is False
+        assert _adaptive_nt(TINY, 8, 1 << 30, True) is True
+        assert _adaptive_nt(TINY, 8, 1 << 30, False) is False
 
     def test_small_work_set_stays_temporal(self):
-        ac = AdaptiveCopy(machine=TINY, nranks=8, work_set=1024)
-        assert ac.would_use_nt(True) is False
-
-    def test_capacity_from_paper_model(self):
-        ac = AdaptiveCopy(machine=NODE_A, nranks=64, work_set=0)
-        assert ac.cache_capacity == available_cache_capacity(NODE_A, 64)
-
-    def test_rejects_negative_work_set(self):
-        with pytest.raises(ValueError):
-            AdaptiveCopy(machine=TINY, nranks=8, work_set=-1)
-
-    def test_counters(self):
-        eng = Engine(1, machine=TINY, functional=False)
-        src = eng.alloc(0, 1024)
-        dst = eng.alloc(0, 1024)
-        ac = AdaptiveCopy(machine=TINY, nranks=1, work_set=1 << 30)
-
-        def program(ctx):
-            ac(ctx, dst.view(0, 512), src.view(0, 512), t_flag=True)
-            ac(ctx, dst.view(512, 512), src.view(512, 512), t_flag=False)
-
-        eng.run(program)
-        assert ac.nt_copies == 1 and ac.t_copies == 1
+        assert _adaptive_nt(TINY, 8, 1024, True) is False
 
 
 class TestOneShotForm:
@@ -48,11 +31,12 @@ class TestOneShotForm:
         dst = eng.alloc(0, 64)
 
         def program(ctx):
-            adaptive_copy(ctx, dst.view(), src.view(), t_flag=True,
-                          work_set=100, cache_capacity=1)
+            copy(ctx, dst.view(), src.view(), "adaptive", t_flag=True,
+                 work_set=100, cache_capacity=1)
 
         eng.run(program)
         assert eng.trace.records[0].nt is True
+        assert eng.trace.records[0].policy == "adaptive"
 
 
 class TestPaperSwitchPoints:
@@ -65,14 +49,20 @@ class TestPaperSwitchPoints:
         (NODE_B, 48, 128 * KB, 1152),
     ])
     def test_switch_size(self, machine, p, imax, expect_kb):
-        from repro.models.nt_model import nt_switch_message_size, work_set_size
+        from repro.models.nt_model import (
+            nt_switch_message_size,
+            uses_nt_store,
+            work_set_size,
+        )
 
         s_switch = nt_switch_message_size("allreduce", machine, p, imax=imax)
         assert s_switch == expect_kb * KB
 
-        # Algorithm 1 agrees: just below stays temporal, above goes NT
+        # Algorithm 1 agrees with the closed form: just below stays
+        # temporal, above goes NT
         for s, want in ((expect_kb * KB - 8 * KB, False),
                         (expect_kb * KB + 8 * KB, True)):
             w = work_set_size("allreduce", s, p, imax=imax)
-            ac = AdaptiveCopy(machine=machine, nranks=p, work_set=w)
-            assert ac.would_use_nt(True) is want
+            assert _adaptive_nt(machine, p, w, True) is want
+            assert uses_nt_store("allreduce", s, machine, p, imax=imax) \
+                is want

@@ -2,15 +2,7 @@
 
 import pytest
 
-from repro.copyengine.primitives import (
-    CopyPolicy,
-    copy_with_policy,
-    kernel_copy,
-    memmove,
-    nt_copy,
-    resolve_nt,
-    t_copy,
-)
+from repro.copyengine.primitives import copy, kernel_copy_time, resolve_nt
 from repro.sim.engine import Engine
 
 from tests.conftest import TINY
@@ -20,43 +12,43 @@ KB = 1024
 
 class TestResolveNT:
     def test_t_never(self):
-        assert resolve_nt("t", 1 << 30, 0) is False
+        assert resolve_nt("t", 1 << 30, TINY, t_flag=True, work_set=1 << 40,
+                          cache_capacity=0) is False
 
     def test_nt_always(self):
-        assert resolve_nt("nt", 8, 1 << 30) is True
+        assert resolve_nt("nt", 8, TINY) is True
+        assert resolve_nt("nt", 8, None) is True
 
     def test_memmove_threshold(self):
-        assert resolve_nt("memmove", 2 << 20, 2 << 20) is True
-        assert resolve_nt("memmove", (2 << 20) - 1, 2 << 20) is False
+        thr = TINY.memmove_nt_threshold
+        assert resolve_nt("memmove", thr, TINY) is True
+        assert resolve_nt("memmove", thr - 1, TINY) is False
+        # no machine, no library threshold to cross
+        assert resolve_nt("memmove", 1 << 40, None) is False
 
     def test_adaptive_needs_both_conditions(self):
-        # Algorithm 1: NT iff t_flag and W > C
-        assert resolve_nt("adaptive", 8, 0, t_flag=True, work_set=100,
+        # Algorithm 1: NT iff t_flag and W > C, whatever the copy size
+        assert resolve_nt("adaptive", 8, TINY, t_flag=True, work_set=100,
                           cache_capacity=10) is True
-        assert resolve_nt("adaptive", 8, 0, t_flag=True, work_set=10,
-                          cache_capacity=100) is False
-        assert resolve_nt("adaptive", 8, 0, t_flag=False, work_set=100,
+        assert resolve_nt("adaptive", 1 << 30, TINY, t_flag=True,
+                          work_set=10, cache_capacity=100) is False
+        assert resolve_nt("adaptive", 8, TINY, t_flag=False, work_set=100,
                           cache_capacity=10) is False
 
     def test_unknown_policy_raises(self):
-        with pytest.raises(ValueError):
-            resolve_nt("bogus", 8, 0)
+        # "kernel" is a copy mechanism, not a store-path rule
+        for policy in ("bogus", "kernel"):
+            with pytest.raises(ValueError, match="unknown copy policy"):
+                resolve_nt(policy, 8, TINY)
 
 
-class TestCopyPolicy:
-    def test_uses_nt_delegates(self):
-        p = CopyPolicy(kind="adaptive", t_flag=True, work_set=100,
-                       cache_capacity=1)
-        assert p.uses_nt(8, 0) is True
-
-
-def _run_one(primitive, **kw):
+def _run_one(policy, **kw):
     eng = Engine(1, machine=TINY, functional=True, trace=True)
     src = eng.alloc(0, 64 * KB, fill=1.0)
     dst = eng.alloc(0, 64 * KB, fill=0.0)
 
     def program(ctx):
-        primitive(ctx, dst.view(), src.view(), **kw)
+        copy(ctx, dst.view(), src.view(), policy, **kw)
 
     eng.run(program)
     assert dst.array()[0] == 1.0  # data moved
@@ -65,14 +57,14 @@ def _run_one(primitive, **kw):
 
 class TestPrimitives:
     def test_t_copy_is_temporal(self):
-        assert _run_one(t_copy).nt is False
+        assert _run_one("t").nt is False
 
     def test_nt_copy_is_nontemporal(self):
-        assert _run_one(nt_copy).nt is True
+        assert _run_one("nt").nt is True
 
     def test_memmove_small_is_temporal(self):
         # 64 KB < TINY's 256 KB threshold
-        assert _run_one(memmove).nt is False
+        assert _run_one("memmove").nt is False
 
     def test_memmove_large_is_nt(self):
         eng = Engine(1, machine=TINY, functional=False, trace=True)
@@ -80,13 +72,13 @@ class TestPrimitives:
         dst = eng.alloc(0, 512 * KB)
 
         def program(ctx):
-            memmove(ctx, dst.view(), src.view())
+            copy(ctx, dst.view(), src.view(), "memmove")
 
         eng.run(program)
         assert eng.trace.records[0].nt is True
 
     def test_kernel_copy_never_nt(self):
-        rec = _run_one(kernel_copy)
+        rec = _run_one("kernel")
         assert rec.nt is False
         assert rec.policy == "kernel"
 
@@ -97,18 +89,20 @@ class TestPrimitives:
         d2 = eng.alloc(0, 64 * KB)
 
         def plain(ctx):
-            t_copy(ctx, d1.view(), src.view())
+            copy(ctx, d1.view(), src.view(), "t")
 
         t_plain = eng.run(plain).times[0]
 
         def kern(ctx):
-            kernel_copy(ctx, d2.view(), src.view())
+            copy(ctx, d2.view(), src.view(), "kernel")
 
         eng.memsys.reset_caches()
         t_kern = eng.run(kern).times[0]
         pages = 64 * KB // TINY.kernel_page_size
         min_extra = TINY.kernel_syscall_overhead + pages * TINY.kernel_page_overhead
         assert t_kern >= t_plain + min_extra * 0.9
+        assert kernel_copy_time(TINY, 64 * KB) == min_extra
+        assert kernel_copy_time(None, 64 * KB) == 0.0
 
     def test_kernel_copy_contention_scales(self):
         eng = Engine(1, machine=TINY, functional=False)
@@ -116,11 +110,11 @@ class TestPrimitives:
         d1 = eng.alloc(0, 64 * KB)
         d2 = eng.alloc(0, 64 * KB)
 
-        t1 = eng.run(lambda ctx: kernel_copy(ctx, d1.view(), src.view(),
-                                             contention=1)).times[0]
+        t1 = eng.run(lambda ctx: copy(ctx, d1.view(), src.view(), "kernel",
+                                      contention=1)).times[0]
         eng.memsys.reset_caches()
-        t8 = eng.run(lambda ctx: kernel_copy(ctx, d2.view(), src.view(),
-                                             contention=8)).times[0]
+        t8 = eng.run(lambda ctx: copy(ctx, d2.view(), src.view(), "kernel",
+                                      contention=8)).times[0]
         assert t8 > t1
 
     def test_kernel_copy_rejects_bad_contention(self):
@@ -129,13 +123,17 @@ class TestPrimitives:
         dst = eng.alloc(0, 64)
 
         def program(ctx):
-            kernel_copy(ctx, dst.view(), src.view(), contention=0)
+            copy(ctx, dst.view(), src.view(), "kernel", contention=0)
 
         with pytest.raises(ValueError):
             eng.run(program)
+        with pytest.raises(ValueError):
+            kernel_copy_time(None, 64, contention=0)
 
     def test_copy_with_policy_dispatch(self):
-        rec = _run_one(copy_with_policy, policy=CopyPolicy(kind="nt"))
-        assert rec.nt is True
-        rec = _run_one(copy_with_policy, policy=CopyPolicy(kind="kernel"))
+        rec = _run_one("nt")
+        assert rec.nt is True and rec.policy == "nt"
+        rec = _run_one("kernel")
         assert rec.policy == "kernel"
+        rec = _run_one("adaptive", t_flag=True, work_set=2, cache_capacity=1)
+        assert rec.nt is True and rec.policy == "adaptive"

@@ -1,7 +1,7 @@
 """Concurrency fuzzing: collective results must be schedule-invariant.
 
 The engine can randomize which runnable rank it advances next
-(``schedule_seed``).  A collective whose cross-rank dependencies are all
+(``FifoScheduler(seed=...)``).  A collective whose cross-rank dependencies are all
 protected by flags/barriers produces bit-identical results under every
 schedule; a missing synchronization shows up as a divergent result (or
 a deadlock).  This is the closest a deterministic simulator gets to a
@@ -30,6 +30,7 @@ from repro.collectives.rg import RGAllreduce
 from repro.collectives.ring import RING_ALLREDUCE
 from repro.collectives.socket_aware import SOCKET_MA_ALLREDUCE
 from repro.sim.engine import Engine
+from repro.sim.scheduler import FifoScheduler
 
 FUZZ_TARGETS = [
     MA_REDUCE_SCATTER, MA_ALLREDUCE, MA_REDUCE, SOCKET_MA_ALLREDUCE,
@@ -45,8 +46,8 @@ def _assert_clean(eng):
 
 
 def _result_of(alg, schedule_seed, p=5, s=4096):
-    eng = Engine(p, functional=True, seed=7, schedule_seed=schedule_seed,
-                 trace=True)
+    eng = Engine(p, functional=True, seed=7, trace=True,
+                 scheduler=FifoScheduler(seed=schedule_seed))
     run_collective(alg, eng, s, imax=512)
     # the runner verifies against the oracle; the passes prove the
     # schedule sound under *every* interleaving, not just this one
@@ -67,15 +68,15 @@ class TestScheduleInvariance:
 
     @pytest.mark.parametrize("schedule_seed", [1, 5, 11])
     def test_bcast_schedule_invariant(self, schedule_seed):
-        eng = Engine(5, functional=True, schedule_seed=schedule_seed,
-                     trace=True)
+        eng = Engine(5, functional=True, trace=True,
+                     scheduler=FifoScheduler(seed=schedule_seed))
         run_collective(PIPELINED_BCAST, eng, 4096, imax=512)
         _assert_clean(eng)
 
     @pytest.mark.parametrize("schedule_seed", [1, 5, 11])
     def test_allgather_schedule_invariant(self, schedule_seed):
-        eng = Engine(5, functional=True, schedule_seed=schedule_seed,
-                     trace=True)
+        eng = Engine(5, functional=True, trace=True,
+                     scheduler=FifoScheduler(seed=schedule_seed))
         run_collective(PIPELINED_ALLGATHER, eng, 2048, imax=512)
         _assert_clean(eng)
 
@@ -87,8 +88,8 @@ class TestScheduleInvariance:
     )
     @settings(max_examples=40, deadline=None)
     def test_property_fuzz(self, alg_idx, schedule_seed, p, s_units):
-        eng = Engine(p, functional=True, seed=3,
-                     schedule_seed=schedule_seed, trace=True)
+        eng = Engine(p, functional=True, seed=3, trace=True,
+                     scheduler=FifoScheduler(seed=schedule_seed))
         run_collective(FUZZ_TARGETS[alg_idx], eng, 8 * s_units, imax=256)
         _assert_clean(eng)
 
@@ -96,7 +97,8 @@ class TestScheduleInvariance:
         """Same inputs, different schedules -> byte-identical output."""
         results = []
         for seed in (None, 17, 23):
-            eng = Engine(4, functional=True, seed=11, schedule_seed=seed)
+            eng = Engine(4, functional=True, seed=11,
+                         scheduler=FifoScheduler(seed=seed))
             env = make_env(MA_ALLREDUCE, engine=eng, s=2048, imax=256)
             eng.run(lambda ctx: MA_ALLREDUCE.program(ctx, env))
             results.append(env.recvbufs[0].array().copy())
@@ -109,5 +111,5 @@ class TestScheduleInvariance:
 
         for seed in (1, 2, 3):
             eng = Engine(8, machine=TINY, functional=False,
-                         schedule_seed=seed)
+                         scheduler=FifoScheduler(seed=seed))
             run_collective(SOCKET_MA_ALLREDUCE, eng, 32 * 1024, imax=2048)

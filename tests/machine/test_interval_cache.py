@@ -162,31 +162,3 @@ class TestThreeWayAgreement:
         assert abs(tot_i.miss - tot_l.miss) <= 2 * cap
         assert abs(tot_i.rfo - tot_l.rfo) <= 2 * cap
 
-
-class TestIntervalBackedMemorySystem:
-    """The interval cache as a drop-in MemorySystem backend."""
-
-    def test_collective_runs_and_dav_unchanged(self):
-        from repro.collectives.common import run_collective
-        from repro.collectives.ma import MA_ALLREDUCE
-        from repro.models.dav import implementation_dav
-        from repro.sim.engine import Engine
-        from tests.conftest import TINY
-
-        s = 32 * KB
-        times = {}
-        for model in ("region", "interval"):
-            eng = Engine(8, machine=TINY, functional=True,
-                         cache_model=model)
-            res = run_collective(MA_ALLREDUCE, eng, s, imax=2 * KB)
-            assert res.dav == implementation_dav("allreduce", "ma", s, 8)
-            times[model] = res.time
-        # timing agrees closely on a slice-aligned workload
-        assert times["interval"] == pytest.approx(times["region"], rel=0.2)
-
-    def test_unknown_model_rejected(self):
-        from repro.machine.memory import MemorySystem
-        from tests.conftest import TINY
-
-        with pytest.raises(ValueError, match="cache model"):
-            MemorySystem(TINY, 4, cache_model="oracle")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.sim.engine import DeadlockError, Engine
+from repro.sim.scheduler import FifoScheduler
 
 from tests.conftest import TINY
 
@@ -56,7 +57,7 @@ class TestStartTimes:
 class TestDeterminism:
     def _run_once(self, schedule_seed):
         eng = Engine(4, machine=TINY, functional=True, seed=9,
-                     schedule_seed=schedule_seed)
+                     scheduler=FifoScheduler(seed=schedule_seed))
         a = {r: eng.alloc(r, 512, random=True) for r in range(4)}
         b = {r: eng.alloc(r, 512) for r in range(4)}
 

@@ -6,6 +6,7 @@ import pytest
 from repro.collectives.common import run_collective
 from repro.collectives.ma import MA_REDUCE_SCATTER
 from repro.sim.engine import Engine
+from repro.sim.scheduler import FifoScheduler
 from repro.sim.replay import (
     diff_schedules,
     schedule_signature,
@@ -19,7 +20,7 @@ from tests.conftest import TINY
 
 def traced_ma(p=3, s=240, imax=10**9, schedule_seed=None):
     eng = Engine(p, machine=TINY, functional=True, trace=True,
-                 schedule_seed=schedule_seed)
+                 scheduler=FifoScheduler(seed=schedule_seed))
     run_collective(MA_REDUCE_SCATTER, eng, s, imax=imax)
     return eng.trace
 
