@@ -20,6 +20,7 @@ from repro.bench.runners import (
     yhccl_cell,
 )
 from repro.collectives.common import KINDS
+from repro.copyengine.primitives import POLICIES
 
 #: the collective kinds each runner family may run
 FAMILY_KINDS = {
@@ -50,8 +51,9 @@ class RunnerSpec:
       ``nnodes``, ``mode``, ``lanes``, ``network``, ``pipelined``).
 
     ``kind`` is the collective ("allreduce", "bcast", ...), one the
-    family runs (:data:`FAMILY_KINDS`).  ``imax`` of ``None`` means the
-    per-platform tuned slice cap.
+    family runs (:data:`FAMILY_KINDS`).  ``policy`` is a store-path rule
+    of :data:`repro.copyengine.primitives.POLICIES`.  ``imax`` of
+    ``None`` means the per-platform tuned slice cap.
     """
 
     family: str
@@ -74,6 +76,11 @@ class RunnerSpec:
             raise ValueError(
                 f"runner family {self.family!r} cannot run kind "
                 f"{self.kind!r}; it runs {', '.join(kinds)}"
+            )
+        if self.policy not in POLICIES:
+            raise ValueError(
+                f"unknown copy policy {self.policy!r}; "
+                f"choose from {', '.join(POLICIES)}"
             )
 
     @property

@@ -38,6 +38,9 @@ from repro.machine.spec import MachineSpec
 from repro.sim.buffers import BufView
 from repro.sim.engine import RankCtx
 
+#: the store-path rules :func:`resolve_nt` decides
+POLICIES = ("t", "nt", "memmove", "adaptive")
+
 
 def resolve_nt(policy: str, nbytes: int, machine: Optional[MachineSpec], *,
                t_flag: bool = False, work_set: int = 0,
@@ -62,7 +65,9 @@ def resolve_nt(policy: str, nbytes: int, machine: Optional[MachineSpec], *,
         return machine is not None and nbytes >= machine.memmove_nt_threshold
     if policy == "adaptive":
         return bool(t_flag) and work_set > cache_capacity
-    raise ValueError(f"unknown copy policy {policy!r}")
+    raise ValueError(
+        f"unknown copy policy {policy!r}; choose from {', '.join(POLICIES)}"
+    )
 
 
 def kernel_copy_time(machine: Optional[MachineSpec], nbytes: int, *,

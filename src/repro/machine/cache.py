@@ -27,6 +27,7 @@ Semantics (Section 2.2 of the paper):
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -44,7 +45,7 @@ def streams_through(length: int, capacity: int) -> bool:
     return length > capacity
 
 
-@dataclass
+@dataclass(init=False)
 class AccessResult:
     """Byte-level outcome of one cache access.
 
@@ -54,10 +55,20 @@ class AccessResult:
     consequence of this access.
     """
 
-    hit: int = 0
-    miss: int = 0
-    rfo: int = 0
-    writeback: int = 0
+    # slots without class-level defaults (``dataclass(slots=True)``
+    # needs Python 3.10), so the defaults live in ``__init__``
+    __slots__ = ("hit", "miss", "rfo", "writeback")
+    hit: int
+    miss: int
+    rfo: int
+    writeback: int
+
+    def __init__(self, hit: int = 0, miss: int = 0, rfo: int = 0,
+                 writeback: int = 0):
+        self.hit = hit
+        self.miss = miss
+        self.rfo = rfo
+        self.writeback = writeback
 
     def __add__(self, other: "AccessResult") -> "AccessResult":
         return AccessResult(
@@ -85,23 +96,23 @@ class RegionCache:
     overlapped residents (write-back if dirty) and is treated as a miss
     for the non-resident bytes.  The line-granular model in
     :class:`SetAssociativeCache` cross-checks this approximation.
-    """
 
-    #: granularity of the per-buffer interval index used to find
-    #: overlapping residents without scanning every region
-    BUCKET = 64 * 1024
+    Every insert first evicts the residents it partially overlaps, so
+    one buffer's residents never overlap each other: sorted by start,
+    they are sorted by end too.  Each buffer keeps its residents' starts
+    in a sorted list, with their keys in a parallel list, and an overlap
+    query is one bisect plus a walk left over the residents that end
+    past the query's start.
+    """
 
     def __init__(self, capacity: int):
         if capacity <= 0:
             raise ValueError("cache capacity must be positive")
         self.capacity = int(capacity)
         self._regions: OrderedDict[tuple, bool] = OrderedDict()  # key -> dirty
-        self._sizes: dict[tuple, int] = {}
         self._used = 0
-        # Per-buffer index of resident keys, for overlap checks & flushes.
-        self._by_buffer: dict[int, set] = {}
-        # (buf_id, bucket) -> set of keys intersecting that bucket.
-        self._buckets: dict[tuple, set] = {}
+        # buf_id -> (sorted resident starts, their keys); no empty entries
+        self._index: dict[int, tuple] = {}
 
     # ---- bookkeeping ------------------------------------------------------
 
@@ -112,83 +123,70 @@ class RegionCache:
     def __contains__(self, key: tuple) -> bool:
         return key in self._regions
 
-    def _bucket_range(self, key: tuple):
-        buf_id, start, length = key
-        first = start // self.BUCKET
-        last = (start + length - 1) // self.BUCKET
-        return buf_id, first, last
-
-    def _index_add(self, key: tuple) -> None:
-        buf_id, first, last = self._bucket_range(key)
-        self._by_buffer.setdefault(buf_id, set()).add(key)
-        for b in range(first, last + 1):
-            self._buckets.setdefault((buf_id, b), set()).add(key)
-
-    def _index_remove(self, key: tuple) -> None:
-        buf_id, first, last = self._bucket_range(key)
-        self._by_buffer[buf_id].discard(key)
-        for b in range(first, last + 1):
-            bucket = self._buckets.get((buf_id, b))
-            if bucket is not None:
-                bucket.discard(key)
-                if not bucket:
-                    del self._buckets[(buf_id, b)]
-
-    def _insert(self, key: tuple, size: int, dirty: bool) -> int:
-        """Insert a region, evicting LRU entries.  Returns write-back bytes."""
-        wb = 0
-        if key in self._regions:
-            # refresh
-            dirty = dirty or self._regions[key]
-            self._regions.move_to_end(key)
-            self._regions[key] = dirty
-            return 0
+    def _insert(self, key: tuple, dirty: bool) -> int:
+        """Make a non-resident region resident, evicting LRU entries.
+        Returns write-back bytes."""
+        buf_id, start, size = key
         if streams_through(size, self.capacity):
             # A region larger than the whole cache cannot be resident;
             # it streams through.  Model: not inserted, no write-back
             # here (the caller already counted the miss traffic).
             return 0
-        while self._used + size > self.capacity and self._regions:
-            old_key, old_dirty = self._regions.popitem(last=False)
-            old_size = self._sizes.pop(old_key)
-            self._index_remove(old_key)
-            self._used -= old_size
+        wb = 0
+        regions = self._regions
+        while self._used + size > self.capacity and regions:
+            old, old_dirty = regions.popitem(last=False)
+            self._unindex(old)
+            self._used -= old[2]
             if old_dirty:
-                wb += old_size
-        self._regions[key] = dirty
-        self._sizes[key] = size
+                wb += old[2]
+        regions[key] = dirty
         self._used += size
-        self._index_add(key)
+        entry = self._index.get(buf_id)
+        if entry is None:
+            entry = self._index[buf_id] = ([], [])
+        starts, keys = entry
+        i = bisect_left(starts, start)
+        starts.insert(i, start)
+        keys.insert(i, key)
         return wb
 
-    def _drop(self, key: tuple, writeback_if_dirty: bool) -> int:
-        dirty = self._regions.pop(key)
-        size = self._sizes.pop(key)
-        self._index_remove(key)
-        self._used -= size
-        return size if (dirty and writeback_if_dirty) else 0
+    def _unindex(self, key: tuple) -> None:
+        starts, keys = self._index[key[0]]
+        i = bisect_left(starts, key[1])
+        del starts[i], keys[i]
+        if not starts:
+            del self._index[key[0]]
+
+    def _drop(self, key: tuple) -> int:
+        """Remove a resident; returns its size if it was dirty."""
+        self._unindex(key)
+        self._used -= key[2]
+        return key[2] if self._regions.pop(key) else 0
 
     def _resolve_overlaps(self, buf_id: int, start: int, length: int) -> int:
-        """Evict residents that partially overlap [start, start+length).
+        """Evict the residents that overlap [start, start+length).
 
-        Exact matches are kept (they are handled by the caller).  Returns
-        write-back bytes from evicted dirty overlaps.
+        Callers have checked that this exact region is not resident.
+        Returns write-back bytes from evicted dirty overlaps.
         """
-        end = start + length
-        first = start // self.BUCKET
-        last = (end - 1) // self.BUCKET
-        doomed = set()
-        for b in range(first, last + 1):
-            for k in self._buckets.get((buf_id, b), ()):
-                if (
-                    not (k[1] == start and k[2] == length)
-                    and k[1] < end
-                    and start < k[1] + k[2]
-                ):
-                    doomed.add(k)
+        entry = self._index.get(buf_id)
+        if entry is None:
+            return 0
+        starts, keys = entry
+        j = bisect_left(starts, start + length)
         wb = 0
-        for k in doomed:
-            wb += self._drop(k, writeback_if_dirty=True)
+        while j:
+            j -= 1
+            key = keys[j]
+            if key[1] + key[2] <= start:
+                break
+            del starts[j], keys[j]
+            self._used -= key[2]
+            if self._regions.pop(key):
+                wb += key[2]
+        if not starts:
+            del self._index[buf_id]
         return wb
 
     # ---- access API --------------------------------------------------------
@@ -199,30 +197,29 @@ class RegionCache:
             return AccessResult()
         key = (buf_id, start, length)
         if key in self._regions:
-            # exact residency excludes overlapping residents (inserts
-            # resolve overlaps), so the fast path skips the index scan
             self._regions.move_to_end(key)
-            return AccessResult(hit=length)
+            return AccessResult(length)
         wb = self._resolve_overlaps(buf_id, start, length)
-        wb += self._insert(key, length, dirty=False)
-        return AccessResult(miss=length, writeback=wb)
+        wb += self._insert(key, False)
+        return AccessResult(0, length, 0, wb)
 
     def store(self, buf_id: int, start: int, length: int) -> AccessResult:
         """Temporal (write-allocate) store: misses pay an RFO read."""
         if length <= 0:
             return AccessResult()
         key = (buf_id, start, length)
-        if key in self._regions:
-            self._regions.move_to_end(key)
-            self._regions[key] = True
-            return AccessResult(hit=length)
+        regions = self._regions
+        if key in regions:
+            regions.move_to_end(key)
+            regions[key] = True
+            return AccessResult(length)
         wb = self._resolve_overlaps(buf_id, start, length)
-        wb += self._insert(key, length, dirty=True)
+        wb += self._insert(key, True)
         if streams_through(length, self.capacity):
             # Streaming store larger than cache: write-allocate still
             # reads every line once and dirty lines stream back out.
-            return AccessResult(miss=length, rfo=length, writeback=wb + length)
-        return AccessResult(miss=length, rfo=length, writeback=wb)
+            wb += length
+        return AccessResult(0, length, length, wb)
 
     def store_nt(self, buf_id: int, start: int, length: int) -> AccessResult:
         """Non-temporal store: no allocation, no RFO; invalidates copies."""
@@ -230,27 +227,33 @@ class RegionCache:
             return AccessResult()
         key = (buf_id, start, length)
         if key in self._regions:
-            self._drop(key, writeback_if_dirty=False)
+            self._drop(key)
         else:
+            # partial overlaps are evicted; their write-back is not charged
             self._resolve_overlaps(buf_id, start, length)
         # All bytes go to memory; counted as misses with no RFO.
-        return AccessResult(miss=length)
+        return AccessResult(0, length)
 
     def invalidate(self, key: tuple) -> None:
         """Drop a region without write-back (coherence invalidation)."""
         if key in self._regions:
-            self._drop(key, writeback_if_dirty=False)
+            self._drop(key)
 
     def flush_buffer(self, buf_id: int) -> int:
         """Drop all regions of one buffer, returning write-back bytes."""
-        keys = list(self._by_buffer.get(buf_id, ()))
-        return sum(self._drop(k, writeback_if_dirty=True) for k in keys)
+        entry = self._index.pop(buf_id, None)
+        if entry is None:
+            return 0
+        wb = 0
+        for key in entry[1]:
+            self._used -= key[2]
+            if self._regions.pop(key):
+                wb += key[2]
+        return wb
 
     def clear(self) -> None:
         self._regions.clear()
-        self._sizes.clear()
-        self._by_buffer.clear()
-        self._buckets.clear()
+        self._index.clear()
         self._used = 0
 
 

@@ -20,7 +20,7 @@ allocates.  Private buffers are homed on their owner's socket.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from repro.machine.cache import RegionCache
 from repro.machine.spec import MachineSpec
@@ -65,7 +65,13 @@ class TrafficCounters:
 
 
 class MemorySystem:
-    """Timing model of one node's caches, DRAM and socket interconnect."""
+    """Timing model of one node's caches, DRAM and socket interconnect.
+
+    Each rank's traffic is one flat row of integers in
+    :class:`TrafficCounters` field order, updated in place per access;
+    :attr:`per_rank` and the node totals in :attr:`counters` are built
+    from the rows when read.
+    """
 
     #: usable fraction of the nominal cache capacity: real shared
     #: caches retain far less of a streaming working set than their
@@ -79,14 +85,14 @@ class MemorySystem:
         self.nranks = nranks
         cap = int(self.CACHE_RETENTION * machine.socket.effective_cache_capacity)
         self.caches = [RegionCache(cap) for _ in range(machine.sockets)]
-        self.counters = TrafficCounters()
-        self.per_rank = [TrafficCounters() for _ in range(nranks)]
+        self._cache_bw = machine.cache_bandwidth_core
+        self.reset_counters()
         self._rank_socket = [machine.socket_of_rank(r, nranks) for r in range(nranks)]
         # active ranks per socket, set by the engine per collective phase
-        self._active = [
-            max(1, len(machine.ranks_on_socket(nranks, s)))
+        self._set_active([
+            len(machine.ranks_on_socket(nranks, s))
             for s in range(machine.sockets)
-        ]
+        ])
         self._homes: dict[tuple, int] = {}
 
     # ---- configuration -----------------------------------------------------
@@ -96,14 +102,28 @@ class MemorySystem:
         counts = [0] * self.machine.sockets
         for r in ranks:
             counts[self._rank_socket[r]] += 1
+        self._set_active(counts)
+
+    def _set_active(self, counts) -> None:
         self._active = [max(1, c) for c in counts]
+        # per socket: concurrency -> (local, remote, c2c) bandwidth
+        self._bw: list = [{} for _ in counts]
 
     def socket_of_rank(self, rank: int) -> int:
         return self._rank_socket[rank]
 
     def reset_counters(self) -> None:
-        self.counters = TrafficCounters()
-        self.per_rank = [TrafficCounters() for _ in range(self.nranks)]
+        width = len(fields(TrafficCounters))
+        self._rows = [[0] * width for _ in range(self.nranks)]
+
+    @property
+    def counters(self) -> TrafficCounters:
+        """Node-wide totals: the per-rank column sums."""
+        return TrafficCounters(*map(sum, zip(*self._rows)))
+
+    @property
+    def per_rank(self) -> list:
+        return [TrafficCounters(*row) for row in self._rows]
 
     def reset_caches(self, *, clear_homes: bool = False) -> None:
         """Flush the simulated caches (cold start).
@@ -117,87 +137,39 @@ class MemorySystem:
         if clear_homes:
             self._homes.clear()
 
-    # ---- NUMA homing ---------------------------------------------------------
-
-    def _home_of(self, buf, key: tuple) -> int:
-        home = self._homes.get(key)
-        if home is not None:
-            return home
-        if buf.home_socket is not None:
-            return buf.home_socket
-        # untouched, un-homed region: interleaved; treat as local
-        return -1
-
-    def _touch_home(self, buf, key: tuple, socket: int) -> None:
-        if buf.home_socket is None and key not in self._homes:
-            self._homes[key] = socket
-
     # ---- bandwidth shares ----------------------------------------------------
 
-    def _sharers(self, socket: int, concurrency) -> int:
-        """Number of ranks splitting the socket's DRAM bandwidth.
+    def _bandwidths(self, socket: int, concurrency) -> tuple:
+        """``(local, remote, c2c)`` bandwidth of one access on ``socket``.
 
-        Defaults to the ranks active in the current collective on this
-        socket; algorithms whose phase structure leaves most ranks idle
-        (e.g. a root's solo copy-out) pass an explicit ``concurrency``.
+        The socket's DRAM and link bandwidth is split among the ranks
+        active in the current collective on that socket; algorithms
+        whose phase structure leaves most ranks idle (e.g. a root's solo
+        copy-out) pass an explicit ``concurrency``.  Cache-to-cache
+        transfers cross the latency-derated link; cooperative same-data
+        fan-outs pass a low ``concurrency`` (each byte crosses the link
+        once, then hits the local cache).  Remembered per
+        ``concurrency`` until the next :meth:`set_active_ranks`.
         """
-        if concurrency is None:
-            return self._active[socket]
-        return max(1, min(concurrency, self._active[socket]))
-
-    def _local_bw(self, socket: int, concurrency=None) -> float:
-        return self.machine.socket.mem_bandwidth / self._sharers(socket, concurrency)
-
-    def _remote_bw(self, socket: int, concurrency=None) -> float:
-        link = min(self.machine.numa_bandwidth, self.machine.socket.mem_bandwidth)
-        return (
-            link
-            / self._sharers(socket, concurrency)
-            / self.machine.numa_latency_factor
+        active = self._active[socket]
+        sharers = (active if concurrency is None
+                   else max(1, min(concurrency, active)))
+        m = self.machine
+        link = min(m.numa_bandwidth, m.socket.mem_bandwidth)
+        bw = self._bw[socket][concurrency] = (
+            m.socket.mem_bandwidth / sharers,
+            link / sharers / m.numa_latency_factor,
+            m.numa_bandwidth / m.numa_latency_factor / sharers,
         )
-
-    def _mem_time(self, socket: int, local_bytes: int, remote_bytes: int,
-                  concurrency=None) -> float:
-        t = 0.0
-        if local_bytes:
-            t += local_bytes / self._local_bw(socket, concurrency)
-        if remote_bytes:
-            t += remote_bytes / self._remote_bw(socket, concurrency)
-        return t
-
-    def _c2c_bw(self, socket: int, concurrency=None) -> float:
-        """Cache-to-cache transfer bandwidth over the socket link.
-
-        Shared by the concurrently-reading ranks like any other
-        cross-socket traffic; cooperative same-data fan-outs pass a low
-        ``concurrency`` (each byte crosses the link once, then hits the
-        local cache).
-        """
-        return (
-            self.machine.numa_bandwidth
-            / self.machine.numa_latency_factor
-            / self._sharers(socket, concurrency)
-        )
-
-    # ---- accounting helper -----------------------------------------------------
-
-    def _account(self, rank: int, *, is_load: bool, n: int, hit: int = 0,
-                 mem_read: int = 0, mem_write: int = 0, rfo: int = 0,
-                 writeback: int = 0, numa: int = 0, c2c: int = 0) -> None:
-        for t in (self.counters, self.per_rank[rank]):
-            if is_load:
-                t.logical_load += n
-            else:
-                t.logical_store += n
-            t.cache_hit_bytes += hit
-            t.mem_read_bytes += mem_read
-            t.mem_write_bytes += mem_write
-            t.rfo_bytes += rfo
-            t.writeback_bytes += writeback
-            t.numa_bytes += numa
-            t.c2c_bytes += c2c
+        return bw
 
     # ---- access API ---------------------------------------------------------------
+    #
+    # Row fields: 0 logical_load, 1 logical_store, 2 cache_hit_bytes,
+    # 3 mem_read_bytes, 4 mem_write_bytes, 5 rfo_bytes, 6 writeback_bytes,
+    # 7 numa_bytes, 8 c2c_bytes.  A RegionCache access is a whole hit or
+    # a whole miss.  A DRAM charge is ``local / local_bw + remote /
+    # remote_bw``, the local part holding the dirty write-backs.
 
     def load(self, rank: int, buf, off: int, n: int, *,
              concurrency=None) -> float:
@@ -205,34 +177,31 @@ class MemorySystem:
         if n <= 0:
             return 0.0
         sock = self._rank_socket[rank]
-        key = (buf.buf_id, off, n)
         res = self.caches[sock].load(buf.buf_id, off, n)
-        c2c = 0
-        remote = False
-        if res.miss:
-            # Cache-to-cache: another socket may hold the region.
-            for s, cache in enumerate(self.caches):
-                if s != sock and key in cache:
-                    c2c = res.miss
-                    break
-            if not c2c:
-                home = self._home_of(buf, key)
-                remote = home not in (-1, sock)
-        mem_read = res.miss - c2c
-        self._account(
-            rank, is_load=True, n=n, hit=res.hit, mem_read=mem_read,
-            mem_write=res.writeback, writeback=res.writeback,
-            numa=(mem_read if remote else 0) + c2c, c2c=c2c,
-        )
-        t = res.hit / self.machine.cache_bandwidth_core
-        t += c2c / self._c2c_bw(sock, concurrency)
-        t += self._mem_time(
-            sock,
-            (0 if remote else mem_read) + res.writeback,
-            mem_read if remote else 0,
-            concurrency,
-        )
-        return t
+        row = self._rows[rank]
+        row[0] += n
+        if res.hit:
+            row[2] += n
+            return n / self._cache_bw
+        wb = res.writeback
+        row[4] += wb
+        row[6] += wb
+        local, remote, c2c = (self._bw[sock].get(concurrency)
+                              or self._bandwidths(sock, concurrency))
+        key = (buf.buf_id, off, n)
+        # Cache-to-cache: another socket may hold the region.
+        for s, cache in enumerate(self.caches):
+            if s != sock and key in cache:
+                row[7] += n
+                row[8] += n
+                return n / c2c + wb / local if wb else n / c2c
+        row[3] += n
+        # an untouched, un-homed region is interleaved: treated as local
+        home = self._homes.get(key, buf.home_socket)
+        if home is None or home == -1 or home == sock:
+            return (n + wb) / local
+        row[7] += n
+        return wb / local + n / remote if wb else n / remote
 
     def store(self, rank: int, buf, off: int, n: int, *, nt: bool = False,
               concurrency=None) -> float:
@@ -241,40 +210,43 @@ class MemorySystem:
             return 0.0
         sock = self._rank_socket[rank]
         key = (buf.buf_id, off, n)
-        self._touch_home(buf, key, sock)
-        home = self._home_of(buf, key)
-        remote = home not in (-1, sock)
+        # NUMA first touch: the first store homes an un-homed region
+        if buf.home_socket is None:
+            home = self._homes.setdefault(key, sock)
+        else:
+            home = self._homes.get(key, buf.home_socket)
+        is_remote = home != -1 and home != sock
         # Invalidate copies on other sockets (ownership moves here).
         for s, cache in enumerate(self.caches):
             if s != sock:
                 cache.invalidate(key)
+        row = self._rows[rank]
+        row[1] += n
         if nt:
-            res = self.caches[sock].store_nt(buf.buf_id, off, n)
-            self._account(
-                rank, is_load=False, n=n, mem_write=n + res.writeback,
-                writeback=res.writeback, numa=n if remote else 0,
-            )
-            return self._mem_time(
-                sock,
-                (0 if remote else n) + res.writeback,
-                n if remote else 0,
-                concurrency,
-            )
-        res = self.caches[sock].store(buf.buf_id, off, n)
-        self._account(
-            rank, is_load=False, n=n, hit=res.hit, mem_read=res.rfo,
-            mem_write=res.writeback, rfo=res.rfo, writeback=res.writeback,
-            numa=res.rfo if remote else 0,
-        )
-        t = res.hit / self.machine.cache_bandwidth_core
-        # RFO read comes from the region's home; the dirty write-back of
-        # evicted data drains to local memory.
-        t += self._mem_time(
-            sock,
-            (0 if remote else res.rfo) + res.writeback,
-            res.rfo if remote else 0,
-            concurrency,
-        )
+            wb = self.caches[sock].store_nt(buf.buf_id, off, n).writeback
+            row[4] += n + wb
+            row[6] += wb
+            mem = n
+        else:
+            res = self.caches[sock].store(buf.buf_id, off, n)
+            if res.hit:
+                row[2] += n
+                return n / self._cache_bw
+            wb, mem = res.writeback, res.rfo
+            row[3] += mem
+            row[4] += wb
+            row[5] += mem
+            row[6] += wb
+        # nt: the bytes themselves drain to the region's home; t: the RFO
+        # read comes from there.  Dirty write-backs drain to local memory.
+        local, remote, _ = (self._bw[sock].get(concurrency)
+                            or self._bandwidths(sock, concurrency))
+        if is_remote:
+            row[7] += mem
+            t = wb / local + mem / remote if wb else mem / remote
+        else:
+            t = (mem + wb) / local
+        if nt:
+            return t
         # The cache-fill write itself happens at cache speed.
-        t += res.miss / self.machine.cache_bandwidth_core
-        return t
+        return t + n / self._cache_bw

@@ -17,6 +17,7 @@ from repro.bench.registry import resolve_algorithm
 from repro.bench.spec import FAMILY_KINDS
 from repro.bench.sizes import quick_subsample
 from repro.collectives.switching import platform_imax
+from repro.copyengine.primitives import POLICIES
 from repro.machine.spec import KB, MB, NODE_A, NODE_B
 
 
@@ -62,6 +63,27 @@ class TestRunnerSpec:
             RunnerSpec(family=family, kind=kind, algorithm="ma")
         for allowed in FAMILY_KINDS[family]:
             assert allowed in str(exc.value)
+
+    @pytest.mark.parametrize("family,kind,policy", [
+        ("reduce", "allreduce", "bogus"),
+        ("reduce", "allreduce", "kernel"),
+        ("bcast", "bcast", ""),
+        ("yhccl", "allreduce", "NT"),
+    ])
+    def test_unknown_policy_rejected(self, family, kind, policy):
+        """A spec may not carry a copy policy no store-path rule decides
+        (it used to enter describe() and fail at the cell's first copy)."""
+        with pytest.raises(ValueError, match="unknown copy policy") as exc:
+            RunnerSpec(family=family, kind=kind, algorithm="ma",
+                       policy=policy)
+        for allowed in POLICIES:
+            assert allowed in str(exc.value)
+
+    def test_known_policies_keep_their_descriptor(self):
+        for policy in POLICIES:
+            spec = reduce_spec("ma", "allreduce", policy)
+            assert spec.describe()["policy"] == policy
+            assert RunnerSpec.from_dict(spec.describe()) == spec
 
     def test_guard_policy(self):
         # the library stack always runs the adaptive switch
