@@ -27,9 +27,9 @@ Commands
 
 ``verify <collective>``
     Exhaustive schedule verification: DPOR model checking of every
-    Mazurkiewicz-distinct interleaving at small rank counts, plus an
-    optional simulated-memory sanitizer (``--sanitize``).  Failures
-    are minimized to replayable schedule certificates
+    Mazurkiewicz-distinct interleaving at small rank counts, judging
+    each terminal state's output, races, uninitialized reads and DAV.
+    Failures are minimized to replayable schedule certificates
     (``--cert-out``); ``--replay`` re-runs a saved certificate.
 
 ``bench <name>|all``
@@ -107,8 +107,6 @@ def main(argv=None) -> int:
                      help="message size in bytes (default 1024)")
     ver.add_argument("--max-schedules", type=int, default=None,
                      help="exploration budget per case (default 1000)")
-    ver.add_argument("--sanitize", action="store_true",
-                     help="byte-granular shadow-memory checks per access")
     ver.add_argument("--cert-out", default="",
                      help="write failing schedule certificates (JSON) "
                           "into this directory")
@@ -196,7 +194,7 @@ def main(argv=None) -> int:
         try:
             results = verify_collective(
                 args.collective, nranks=args.ranks, s=args.size,
-                sanitize=args.sanitize, max_schedules=budget,
+                max_schedules=budget,
             )
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -5,10 +5,10 @@ lifted from the *one* interleaving the cooperative engine executed.
 This package closes the gap: it re-runs a collective under a
 controlled scheduler and explores every Mazurkiewicz-distinct
 interleaving (sleep-set + persistent-set dynamic partial-order
-reduction), checking functional output equality, race freedom, the
-DAV invariant and deadlock/sanitizer cleanliness at each terminal
-state.  Failures are minimized to replayable
-:class:`~repro.sim.replay.ScheduleCertificate` witnesses.
+reduction), checking functional output equality, ``lint``'s whole
+buffer scan (no races, no uninitialized reads), the DAV invariant and
+deadlock freedom at each terminal state.  Failures are minimized to
+replayable :class:`~repro.sim.replay.ScheduleCertificate` witnesses.
 
 Entry points: :func:`verify_collective` (the ``python -m repro verify``
 backend), :func:`verify_case`, :func:`verify_program` (arbitrary engine

@@ -8,13 +8,15 @@ terminal state check
 * **functional output** — the runner's numpy-oracle assertion, plus
   byte equality of *every* engine buffer (scratch and shm included)
   against the first clean execution;
-* **freedom from races** — the explored schedule's trace is lifted
-  into the schedule IR and scanned for unordered conflicting accesses
-  by the same scan the static buffer pass runs;
+* **buffer discipline** — the explored schedule's trace is lifted
+  into the schedule IR and judged by the whole scan of ``lint``'s
+  :class:`~repro.analysis.static.passes.BufferPass`: unordered
+  conflicting accesses (``race``) and reads no happens-before-ordered
+  write or fill produced (``uninit``);
 * **the DAV invariant** — the IR's Theorem 3.1 volume must be
   schedule-invariant (the accounting does not depend on
   interleaving);
-* **no deadlock / sanitizer violation / engine error** anywhere.
+* **no deadlock / engine error** anywhere.
 
 The first failing schedule is *minimized* — binary search for the
 shortest forced-choice prefix that still reproduces the failure (the
@@ -31,13 +33,21 @@ from repro.analysis.mc.dpor import Explorer
 from repro.analysis.runner import Case, cases
 from repro.analysis.static.extract import ir_from_trace
 from repro.analysis.static.passes import BufferPass
-from repro.sim.buffers import SanitizerError
 from repro.sim.engine import DeadlockError, Engine
 from repro.sim.replay import ScheduleCertificate
 from repro.sim.scheduler import ControlledScheduler, StepRecord
 
 #: default exploration budget per case (schedules, not steps)
 DEFAULT_BUDGET = 1000
+
+#: how a terminal state's BufferPass findings fail it, checked in
+#: order: (failure kind, the finding codes it covers, what its detail
+#: counts).  Together they cover every code of the pass.
+BUFFER_FAILURES = (
+    ("race", ("SA-BUF-OVERLAP", "SA-BUF-RACE"), "race(s)"),
+    ("uninit", ("SA-BUF-UNINIT",), "uninitialized read(s)"),
+    ("error", ("SA-BUF-BOUNDS",), "out-of-bounds access(es)"),
+)
 
 #: terminal buffer state, keyed by (name, occurrence).  Buffers may be
 #: allocated *during* the run (e.g. ring's per-rank scratch), so global
@@ -64,11 +74,10 @@ class _Executor:
     """Build a fresh engine per schedule and run the program under it."""
 
     def __init__(self, run_fn: Callable[[Engine], None], *, nranks: int,
-                 seed: int, sanitize: bool):
+                 seed: int):
         self.run_fn = run_fn
         self.nranks = nranks
         self.seed = seed
-        self.sanitize = sanitize
         self.last: Optional[Execution] = None
         #: first clean execution: (buffer snapshot, DAV)
         self.baseline: Optional[Tuple[Snapshot, float]] = None
@@ -76,15 +85,12 @@ class _Executor:
     def __call__(self, choices: List[int]) -> List[StepRecord]:
         sched = ControlledScheduler(choices=choices)
         eng = Engine(self.nranks, functional=True, trace=True,
-                     seed=self.seed, scheduler=sched,
-                     sanitize=self.sanitize)
+                     seed=self.seed, scheduler=sched)
         exe = Execution(scheduler=sched, engine=eng)
         try:
             self.run_fn(eng)
         except DeadlockError as e:
             exe.failure = ("deadlock", str(e))
-        except SanitizerError as e:
-            exe.failure = ("sanitizer", str(e))
         except AssertionError as e:
             detail = str(e).strip().splitlines()
             exe.failure = ("divergence",
@@ -110,11 +116,12 @@ class _Executor:
         if exe.failure is not None:
             return exe.failure
         ir = ir_from_trace(exe.engine.trace, buffers=exe.engine.buffers)
-        overlaps, races = BufferPass().conflicts(ir)
-        unordered = overlaps + races
-        if unordered:
-            return ("race", f"{len(unordered)} race(s) under this "
-                            f"schedule; {unordered[0].message}")
+        found = BufferPass().scan(ir)
+        for kind, codes, counted in BUFFER_FAILURES:
+            hits = [f for code in codes for f in found[code]]
+            if hits:
+                return (kind, f"{len(hits)} {counted} under this "
+                              f"schedule; {hits[0].message}")
         dav = ir.static_dav()
         if self.baseline is None:
             self.baseline = (exe.snapshot, dav)
@@ -160,7 +167,7 @@ class VerifyCaseResult:
             scope = ("all" if self.complete
                      else "budget-capped") + f" {self.schedules} schedule(s)"
             return (f"{self.label}: {scope} explored — 0 races, "
-                    f"0 divergences, 0 deadlocks")
+                    f"0 uninitialized reads, 0 divergences, 0 deadlocks")
         return (f"{self.label}: FAILED after {self.schedules} schedule(s)\n"
                 f"  {self.certificate.describe()}")
 
@@ -168,7 +175,6 @@ class VerifyCaseResult:
 def verify_program(run_fn: Callable[[Engine], None], *, nranks: int,
                    label: str = "program", collective: str = "",
                    kind: str = "", s: int = 0, seed: int = 12345,
-                   sanitize: bool = False,
                    max_schedules: int = DEFAULT_BUDGET) -> VerifyCaseResult:
     """Model-check an arbitrary engine program.
 
@@ -178,7 +184,7 @@ def verify_program(run_fn: Callable[[Engine], None], *, nranks: int,
     registered collectives; tests use it directly on seeded-bug
     fixtures.
     """
-    executor = _Executor(run_fn, nranks=nranks, seed=seed, sanitize=sanitize)
+    executor = _Executor(run_fn, nranks=nranks, seed=seed)
     explorer = Explorer(executor, max_schedules=max_schedules)
     result = VerifyCaseResult(label=label, collective=collective, kind=kind,
                               nranks=nranks, s=s)
@@ -193,7 +199,6 @@ def verify_program(run_fn: Callable[[Engine], None], *, nranks: int,
                 case=label, collective=collective, kind=kind,
                 nranks=nranks, s=s, choices=witness,
                 failure=fail_kind, detail=detail, seed=seed,
-                sanitize=sanitize,
             )
             return result
     result.schedules = explorer.schedules_run
@@ -236,23 +241,23 @@ def _case_runner(case: Case, s: int) -> Callable[[Engine], None]:
 
 
 def verify_case(case: Case, *, nranks: int = 3, s: int = 1024,
-                seed: int = 12345, sanitize: bool = False,
+                seed: int = 12345,
                 max_schedules: int = DEFAULT_BUDGET) -> VerifyCaseResult:
     """Exhaustively model-check one analysis-matrix case."""
     return verify_program(
         _case_runner(case, s), nranks=nranks, label=case.label,
         collective=case.collective, kind=case.kind, s=s, seed=seed,
-        sanitize=sanitize, max_schedules=max_schedules,
+        max_schedules=max_schedules,
     )
 
 
 def verify_collective(name: str = "all", *, nranks: int = 3, s: int = 1024,
-                      seed: int = 12345, sanitize: bool = False,
+                      seed: int = 12345,
                       max_schedules: int = DEFAULT_BUDGET
                       ) -> List[VerifyCaseResult]:
     """Model-check every kind of collective ``name`` (or all)."""
     return [
-        verify_case(case, nranks=nranks, s=s, seed=seed, sanitize=sanitize,
+        verify_case(case, nranks=nranks, s=s, seed=seed,
                     max_schedules=max_schedules)
         for case in cases(name)
     ]
@@ -285,8 +290,7 @@ def replay_certificate(cert: ScheduleCertificate) -> ReplayOutcome:
             f"certificate names unknown case {cert.collective}/{cert.kind}"
         )
     executor = _Executor(_case_runner(matched[0], cert.s),
-                         nranks=cert.nranks, seed=cert.seed,
-                         sanitize=cert.sanitize)
+                         nranks=cert.nranks, seed=cert.seed)
     # baseline for divergence/dav classification: the canonical schedule
     executor([])
     base = executor.classify(executor.last)

@@ -1,14 +1,15 @@
 """Static schedule analysis: a pass pipeline over the op-dependency IR.
 
-:mod:`repro.analysis.mc` (exhaustive schedule exploration) and
-:mod:`repro.sim.buffers` (shadow-memory sanitizer) judge *executions*.
-This package judges the *schedule*: one traced run lifts a collective
-into a static DAG (:class:`~repro.analysis.static.ir.ScheduleIR`), and
-every verdict after that — deadlock freedom, Theorem 3.1 byte
-accounting, buffer races and uninitialized reads, NUMA placement, the
-critical-path time bound — is computed from graph structure alone.  It
-is the only analyzer: ``verify`` judges each explored schedule's races
-and DAV by lifting its terminal trace into the same IR.
+:mod:`repro.analysis.mc` (exhaustive schedule exploration) judges
+*executions*.  This package judges the *schedule*: one traced run
+lifts a collective into a static DAG
+(:class:`~repro.analysis.static.ir.ScheduleIR`), and every verdict
+after that — deadlock freedom, Theorem 3.1 byte accounting, buffer
+races and uninitialized reads, NUMA placement, the critical-path time
+bound — is computed from graph structure alone.  It is the only
+analyzer: ``verify`` lifts each explored schedule's terminal trace
+into the same IR and judges it with the whole buffer scan and the DAV
+tally.
 
 CLI: ``python -m repro lint <collective>|all [--json] [--ir-out DIR]``;
 library: :meth:`repro.library.yhccl.YHCCL.lint`.

@@ -19,12 +19,11 @@ record-driven walk — no re-execution, no vector clocks:
   *pending* sync nodes, preserving the stuck waits/barriers the
   deadlock pass reasons about.
 
-Extraction never runs the sanitizer: a :class:`SanitizerError` aborts
-*before* the offending access is recorded, which would erase exactly
-the footprint the static passes need.  Instead every buffer's
-``initialized`` state (recorded at allocation) rides along in
-:class:`~repro.analysis.static.ir.BufferInfo`, and the uninit-read
-pass re-derives the verdict from reachability.
+Every buffer's ``initialized`` state (recorded at allocation) rides
+along in :class:`~repro.analysis.static.ir.BufferInfo`, and the
+uninit-read pass derives its verdict from reachability: a read is
+clean only where happens-before-ordered writes or a fill produced its
+bytes.
 
 The lift refuses traces it cannot represent faithfully rather than
 dropping happens-before edges: a wait whose matched post is missing

@@ -20,8 +20,8 @@ execute anything.  The default pipeline (:data:`DEFAULT_PASSES`):
   accesses (the static form of the happens-before race check: two
   conflicting footprints with no dependency path between their nodes)
   and uninitialized-read reachability (a read of a never-filled buffer
-  not fully covered by happens-before-ordered writes — the static form
-  of the shadow-memory sanitizer).
+  not fully covered by happens-before-ordered writes).  ``verify`` runs
+  the same scan on every schedule it explores.
 * :class:`LocalityPass` — cache-line false sharing (distinct ranks
   concurrently writing disjoint bytes of one line) and NUMA placement
   (the fraction of accessed bytes homed on a remote socket, judged
@@ -418,18 +418,26 @@ class BufferPass(Pass):
              "SA-BUF-UNINIT")
 
     def run(self, ir: ScheduleIR) -> List[Finding]:
-        out: List[Finding] = []
-        out += self._bounds(ir)
-        per_buf = _node_accesses(ir)
-        overlaps, races = self.conflicts(ir, per_buf)
-        out += _cap(overlaps, self, ir, "SA-BUF-OVERLAP")
-        out += _cap(races, self, ir, "SA-BUF-RACE")
-        uninit: List[Finding] = []
-        for buf, accesses in per_buf.items():
-            if not ir.buffers[buf].initialized:
-                uninit += self._uninit_reads(ir, buf, accesses)
-        out += _cap(uninit, self, ir, "SA-BUF-UNINIT")
+        found = self.scan(ir)
+        out = found["SA-BUF-BOUNDS"]
+        for code in ("SA-BUF-OVERLAP", "SA-BUF-RACE", "SA-BUF-UNINIT"):
+            out += _cap(found[code], self, ir, code)
         return out
+
+    def scan(self, ir: ScheduleIR) -> Dict[str, List[Finding]]:
+        """Every finding of this pass, uncapped, keyed by code (each
+        of :attr:`codes`, in order).  ``verify`` judges every explored
+        terminal state with this scan; :meth:`run` caps each code."""
+        found: Dict[str, List[Finding]] = {code: [] for code in self.codes}
+        found["SA-BUF-BOUNDS"] = self._bounds(ir)
+        for buf, accesses in _node_accesses(ir).items():
+            overlaps, races = self._conflicts(ir, buf, accesses)
+            found["SA-BUF-OVERLAP"] += overlaps
+            found["SA-BUF-RACE"] += races
+            if not ir.buffers[buf].initialized:
+                found["SA-BUF-UNINIT"] += self._uninit_reads(ir, buf,
+                                                             accesses)
+        return found
 
     def _bounds(self, ir: ScheduleIR) -> List[Finding]:
         out = []
@@ -445,23 +453,6 @@ class BufferPass(Pass):
                         nodes=(n.node,),
                     ))
         return out
-
-    def conflicts(self, ir: ScheduleIR,
-                  per_buf: Optional[Dict[int, List[_Access]]] = None
-                  ) -> Tuple[List[Finding], List[Finding]]:
-        """Every unordered conflicting pair, uncapped: the
-        ``SA-BUF-OVERLAP`` (write-write) and ``SA-BUF-RACE``
-        (read-write) findings.  ``verify`` judges each explored
-        schedule's races with this scan."""
-        if per_buf is None:
-            per_buf = _node_accesses(ir)
-        overlaps: List[Finding] = []
-        races: List[Finding] = []
-        for buf, accesses in per_buf.items():
-            o, r = self._conflicts(ir, buf, accesses)
-            overlaps += o
-            races += r
-        return overlaps, races
 
     def _conflicts(self, ir: ScheduleIR, buf: int,
                    accesses: List[_Access]

@@ -168,7 +168,7 @@ class YHCCL(CollectiveLibrary):
         return run_passes(ir)
 
     def verify(self, kind: str, nbytes: int, *, op: str = "sum",
-               nranks: Optional[int] = None, sanitize: bool = False,
+               nranks: Optional[int] = None,
                max_schedules: Optional[int] = None):
         """Model-check the algorithm YHCCL would select for
         ``(kind, nbytes)``.
@@ -178,9 +178,9 @@ class YHCCL(CollectiveLibrary):
         DPOR-distinct interleaving of the selected algorithm on a
         functional twin (``nranks`` defaults to
         ``min(self.comm.nranks, 3)`` — the schedule space grows fast)
-        and checks output equality, race freedom and the DAV invariant
-        at each terminal state.  Returns
-        a :class:`~repro.analysis.mc.VerifyCaseResult`; a failure
+        and checks output equality, race freedom, initialized reads
+        and the DAV invariant at each terminal state.  Returns a
+        :class:`~repro.analysis.mc.VerifyCaseResult`; a failure
         carries a minimized replayable schedule certificate.
         """
         from repro.analysis.mc import DEFAULT_BUDGET, verify_program
@@ -190,7 +190,6 @@ class YHCCL(CollectiveLibrary):
             run, nranks=min(self.comm.nranks, 3) if nranks is None
             else nranks,
             label=f"{alg.name}/{kind}", collective=alg.name, kind=kind,
-            s=nbytes, sanitize=sanitize,
-            max_schedules=(max_schedules if max_schedules is not None
+            s=nbytes, max_schedules=(max_schedules if max_schedules is not None
                            else DEFAULT_BUDGET),
         )

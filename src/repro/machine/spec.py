@@ -106,6 +106,18 @@ def socket_of_rank_meta(rank: int, nranks: int | None, *, sockets: int,
     return (rank // cores_per_socket) % sockets
 
 
+#: MachineSpec constants that must be > 0: bandwidths and the kernel
+#: page size divide and the NUMA factor scales remote time, so zero
+#: divides by zero and a negative value makes a simulated time negative
+_POSITIVE_FIELDS = ("cache_bandwidth_core", "numa_bandwidth",
+                    "numa_latency_factor", "kernel_page_size")
+
+#: MachineSpec latencies and overheads that must be >= 0
+_NON_NEGATIVE_FIELDS = ("sync_latency_intra", "sync_latency_inter",
+                        "op_overhead", "kernel_page_overhead",
+                        "kernel_syscall_overhead", "xpmem_attach_overhead")
+
+
 @dataclass(frozen=True)
 class MachineSpec:
     """A shared-memory node: homogeneous sockets plus interconnect.
@@ -174,6 +186,15 @@ class MachineSpec:
             raise ValueError("need at least one socket")
         if self.binding not in ("compact", "scatter"):
             raise ValueError(f"unknown binding policy {self.binding!r}")
+        for name in _POSITIVE_FIELDS:
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
+        for name in _NON_NEGATIVE_FIELDS:
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ValueError(
+                    f"{name} must be non-negative, got {value!r}")
 
     def ranks_on_socket(self, nranks: int, sock: int) -> list[int]:
         return [r for r in range(nranks) if self.socket_of_rank(r, nranks) == sock]

@@ -18,13 +18,7 @@ Two modes share one code path:
   large-message sweeps without allocating gigabytes.
 """
 
-from repro.sim.buffers import (
-    Buffer,
-    BufView,
-    Sanitizer,
-    SanitizerError,
-    SharedBuffer,
-)
+from repro.sim.buffers import Buffer, BufView, SharedBuffer
 from repro.sim.compiled import (
     CompiledSchedule,
     CompiledTimes,
@@ -52,8 +46,6 @@ from repro.sim.trace import AccessEvent, OpRecord, SpanRecord, SyncEvent, Trace
 __all__ = [
     "Buffer",
     "BufView",
-    "Sanitizer",
-    "SanitizerError",
     "SharedBuffer",
     "SchedulerPolicy",
     "FifoScheduler",

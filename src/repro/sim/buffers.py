@@ -10,19 +10,6 @@ accessors convert to element slices and therefore require alignment to
 the element size (the algorithms are slice-aligned by construction; a
 misaligned access raises, which has caught real bugs).
 
-**Sanitizer mode** (``Engine(..., sanitize=True)``) attaches
-byte-granular shadow state to every buffer the engine allocates: an
-*initialized* bitmap (set by fills/random data and by writes) and a
-*last-writer* map stamped with the engine's synchronization epoch.
-At access time the :class:`Sanitizer` flags
-
-* **uninitialized reads** — a data op reads bytes no one produced;
-* **same-epoch overlapping writes** — two ranks write overlapping
-  bytes with no synchronization event anywhere between them, which no
-  happens-before edge could possibly order (the blatant-race subset a
-  shadow-memory check can prove at access time; the schedule-IR race
-  scan in :mod:`repro.analysis.static.passes` covers the rest).
-
 Out-of-bounds slicing is checked unconditionally:
 :meth:`BufView.sub` and the :class:`BufView` constructor raise
 ``ValueError`` on negative or overrunning ranges.
@@ -82,11 +69,8 @@ class Buffer:
         self.data = data
         self.name = name or f"buf{self.buf_id}"
         #: whether allocation produced defined contents (a fill or
-        #: random payload); consumed by the sanitizer's initial shadow
-        #: state and the static uninit-read pass
+        #: random payload); consumed by the static uninit-read pass
         self.initialized = False
-        #: shadow state, attached by :meth:`Sanitizer.attach`
-        self.shadow: Optional["Shadow"] = None
 
     @property
     def itemsize(self) -> int:
@@ -154,8 +138,7 @@ class BufView:
 
         A negative ``off`` could otherwise silently escape the view
         into a neighbouring region of the same buffer (the constructor
-        only checks buffer bounds), so bounds are enforced here
-        unconditionally — not just in sanitizer mode.
+        only checks buffer bounds), so bounds are enforced here.
         """
         if off < 0 or nbytes < 0 or off + nbytes > self.nbytes:
             raise ValueError(
@@ -190,111 +173,6 @@ def alloc_shared(nbytes: int, *, dtype=np.float64, functional: bool,
     """Allocate a shared segment (zero-filled in functional mode)."""
     data = _make_data(nbytes, dtype, functional, fill=0.0, rng=None)
     return SharedBuffer(nbytes, data=data, name=name)
-
-
-class SanitizerError(RuntimeError):
-    """A shadow-state violation caught at access time.
-
-    ``kind`` is ``"uninitialized-read"`` or ``"overlapping-write"``;
-    ``rank``/``buf_name``/``lo``/``hi`` locate the offending access,
-    and for overlapping writes ``other_rank`` names the unsynchronized
-    previous writer.
-    """
-
-    def __init__(self, kind: str, message: str, *, rank: int,
-                 buf_name: str, lo: int, hi: int, other_rank: int = -1):
-        super().__init__(message)
-        self.kind = kind
-        self.rank = rank
-        self.buf_name = buf_name
-        self.lo = lo
-        self.hi = hi
-        self.other_rank = other_rank
-
-
-class Shadow:
-    """Byte-granular shadow state of one buffer (sanitizer mode)."""
-
-    __slots__ = ("init", "writer", "epoch")
-
-    def __init__(self, nbytes: int, *, initialized: bool):
-        self.init = np.full(nbytes, initialized, dtype=bool)
-        self.writer = np.full(nbytes, -1, dtype=np.int32)
-        self.epoch = np.full(nbytes, -1, dtype=np.int64)
-
-
-class Sanitizer:
-    """Simulated-memory sanitizer: shadow-state checks at access time.
-
-    The engine advances :attr:`sync_epoch` on every synchronization
-    event (post, wait release, barrier completion, run start).  Two
-    writes to the same byte by different ranks within one epoch are
-    provably unordered — no post/wait or barrier lies between them in
-    the whole execution — and are reported immediately, with the
-    offending operation still on the stack.  Reads of bytes whose
-    ``init`` shadow is unset are reported as uninitialized.
-    """
-
-    def __init__(self) -> None:
-        self.sync_epoch = 0
-
-    def on_sync(self) -> None:
-        self.sync_epoch += 1
-
-    def attach(self, buf: Buffer, *, initialized: bool) -> None:
-        buf.shadow = Shadow(buf.nbytes, initialized=initialized)
-
-    def check_access(self, rank: int, op_kind: str,
-                     reads: tuple, writes: tuple) -> None:
-        """Validate one data operation's byte ranges, then update the
-        shadows.  Reads are checked before any write marks bytes
-        initialized (``reduce_acc`` reads its destination)."""
-        for v in reads:
-            self._check_read(rank, op_kind, v)
-        for v in writes:
-            self._check_write(rank, op_kind, v)
-
-    def _check_read(self, rank: int, op_kind: str, v: "BufView") -> None:
-        shadow = v.buf.shadow
-        if shadow is None or v.nbytes == 0:
-            return
-        seg = shadow.init[v.off:v.off + v.nbytes]
-        if seg.all():
-            return
-        bad = v.off + int(np.argmin(seg))
-        raise SanitizerError(
-            "uninitialized-read",
-            f"rank {rank} {op_kind} reads uninitialized byte {bad} of "
-            f"{v.buf.name} (range [{v.off}, {v.off + v.nbytes})): no "
-            f"write or fill produced it",
-            rank=rank, buf_name=v.buf.name, lo=v.off, hi=v.off + v.nbytes,
-        )
-
-    def _check_write(self, rank: int, op_kind: str, v: "BufView") -> None:
-        shadow = v.buf.shadow
-        if shadow is None or v.nbytes == 0:
-            return
-        sl = slice(v.off, v.off + v.nbytes)
-        clash = (
-            (shadow.epoch[sl] == self.sync_epoch)
-            & (shadow.writer[sl] != rank)
-            & (shadow.writer[sl] >= 0)
-        )
-        if clash.any():
-            bad = v.off + int(np.argmax(clash))
-            other = int(shadow.writer[bad])
-            raise SanitizerError(
-                "overlapping-write",
-                f"rank {rank} {op_kind} overwrites byte {bad} of "
-                f"{v.buf.name} already written by rank {other} in the "
-                f"same sync epoch — no synchronization orders the two "
-                f"writes (range [{v.off}, {v.off + v.nbytes}))",
-                rank=rank, buf_name=v.buf.name, lo=v.off,
-                hi=v.off + v.nbytes, other_rank=other,
-            )
-        shadow.init[sl] = True
-        shadow.writer[sl] = rank
-        shadow.epoch[sl] = self.sync_epoch
 
 
 def _make_data(nbytes, dtype, functional, fill, rng) -> Optional[np.ndarray]:

@@ -35,13 +35,13 @@ equivalence the bench layer's result cache and the tests rely on.
 
 What stays on the coroutine path: anything that must *execute* rather
 than re-time a schedule — functional verification, the DPOR model
-checker (it explores non-FIFO interleavings), the shadow-memory
-sanitizer, and trace export.  Re-timing under a different machine
-model is also out: cache outcomes are access-order *and size*
-dependent, so a schedule captured on one (machine, p, size) cell is
-exact only for that cell.  :func:`CompiledSchedule.model_durations`
-offers an explicitly model-level (not engine-exact) re-timing hook
-built on :func:`repro.models.timing.static_op_time`.
+checker (it explores non-FIFO interleavings) and trace export.
+Re-timing under a different machine model is also out: cache outcomes
+are access-order *and size* dependent, so a schedule captured on one
+(machine, p, size) cell is exact only for that cell.
+:func:`CompiledSchedule.model_durations` offers an explicitly
+model-level (not engine-exact) re-timing hook built on
+:func:`repro.models.timing.static_op_time`.
 """
 
 from __future__ import annotations

@@ -42,7 +42,6 @@ from repro.machine.spec import MachineSpec
 from repro.sim.buffers import (
     Buffer,
     BufView,
-    Sanitizer,
     SharedBuffer,
     alloc,
     alloc_shared,
@@ -266,8 +265,6 @@ class RankCtx:
             raise ValueError(
                 f"copy size mismatch: {src.nbytes} -> {dst.nbytes} bytes"
             )
-        if eng.sanitizer is not None:
-            eng.sanitizer.check_access(self.rank, "copy", (src,), (dst,))
         t0 = self.clock
         if eng.functional and not (src.is_virtual or dst.is_virtual):
             np.copyto(dst.array(), src.array())
@@ -301,8 +298,6 @@ class RankCtx:
         for s in srcs:
             if s.nbytes != n:
                 raise ValueError("reduce operand size mismatch")
-        if eng.sanitizer is not None:
-            eng.sanitizer.check_access(self.rank, kind, tuple(srcs), (dst,))
         t0 = self.clock
         if eng.functional and not (dst.is_virtual or any(s.is_virtual for s in srcs)):
             ufunc = resolve_ufunc(op)
@@ -330,8 +325,6 @@ class RankCtx:
     def touch(self, view: BufView) -> None:
         """Load a view without copying (e.g. application reads a result)."""
         eng = self.engine
-        if eng.sanitizer is not None:
-            eng.sanitizer.check_access(self.rank, "touch", (view,), ())
         t0 = self.clock
         if eng.memsys is not None:
             self.clock += eng.memsys.load(self.rank, view.buf, view.off, view.nbytes)
@@ -359,8 +352,6 @@ class RankCtx:
     def post(self, tag: object) -> None:
         """Signal ``tag`` (atomic flag update; non-blocking)."""
         eng = self.engine
-        if eng.sanitizer is not None:
-            eng.sanitizer.on_sync()
         seq = 0
         if eng.trace is not None:
             seq = eng.trace.next_seq()
@@ -401,7 +392,6 @@ class Engine:
         trace_accesses: bool = True,
         seed: int = 12345,
         scheduler: Optional[SchedulerPolicy] = None,
-        sanitize: bool = False,
     ):
         """``scheduler`` plugs in a :class:`~repro.sim.scheduler.SchedulerPolicy`
         (default :class:`~repro.sim.scheduler.FifoScheduler`, which is
@@ -412,11 +402,6 @@ class Engine:
         identical under every schedule* — the property tests drive this
         as a concurrency fuzzer.  Controlled policies let
         :mod:`repro.analysis.mc` enumerate interleavings.
-
-        ``sanitize`` attaches byte-granular shadow state to every
-        buffer this engine allocates, flagging uninitialized reads and
-        same-epoch overlapping writes at access time (see
-        :class:`~repro.sim.buffers.Sanitizer`).
 
         ``trace_accesses=False`` keeps op records, spans and sync
         events but skips the per-byte-range :class:`AccessEvent`
@@ -439,7 +424,6 @@ class Engine:
         self.trace_accesses = bool(trace_accesses)
         self.rng = np.random.default_rng(seed)
         self.scheduler: SchedulerPolicy = scheduler or FifoScheduler()
-        self.sanitizer: Optional[Sanitizer] = Sanitizer() if sanitize else None
         self.buffers: list = []
         #: the most recent :meth:`run`'s result — lets consumers that
         #: only see a derived value (e.g. a bench cell runner's
@@ -467,11 +451,6 @@ class Engine:
         )
         if self.memsys is not None:
             buf.home_socket = self.memsys.socket_of_rank(rank)
-        if self.sanitizer is not None:
-            # fill/random allocations model initialized memory; a plain
-            # alloc is zero-filled for determinism but semantically
-            # uninitialized, so the sanitizer flags reads before writes
-            self.sanitizer.attach(buf, initialized=buf.initialized)
         self.buffers.append(buf)
         return buf
 
@@ -479,10 +458,6 @@ class Engine:
         buf = alloc_shared(
             nbytes, dtype=self.dtype, functional=self.functional, name=name
         )
-        if self.sanitizer is not None:
-            # shared segments are zero-filled (POSIX shm) but no rank
-            # has produced their contents yet: read-before-write is a bug
-            self.sanitizer.attach(buf, initialized=False)
         self.buffers.append(buf)
         return buf
 
@@ -552,15 +527,14 @@ class Engine:
     # ---- the scheduler -------------------------------------------------------------
 
     def run(self, program: Callable, ranks: Optional[Sequence[int]] = None,
-            *, reset_clocks: bool = True, start_times: Optional[list] = None,
-            scheduler: Optional[SchedulerPolicy] = None) -> RunResult:
+            *, start_times: Optional[list] = None) -> RunResult:
         """Run ``program(ctx)`` on every rank in ``ranks`` to completion.
 
         ``program`` may be a plain function (no internal syncs) or a
-        generator function yielding sync events.  ``scheduler``
-        overrides the engine's scheduling policy for this run.
+        generator function yielding sync events.  Every rank's clock
+        starts at zero, or at ``start_times[rank]`` when given.
         """
-        policy = scheduler if scheduler is not None else self.scheduler
+        policy = self.scheduler
         ranks = list(range(self.nranks)) if ranks is None else list(ranks)
         if self.memsys is not None:
             self.memsys.set_active_ranks(ranks)
@@ -569,8 +543,6 @@ class Engine:
         self._barrier_seq.clear()
         self._barrier_arrivals.clear()
         self._sync_count = 0
-        if self.sanitizer is not None:
-            self.sanitizer.on_sync()
         first_record = 0
         first_span = 0
         if self.trace is not None:
@@ -588,8 +560,6 @@ class Engine:
         if start_times is not None:
             for r in ranks:
                 ctxs[r].clock = start_times[r]
-        elif not reset_clocks:
-            raise ValueError("reset_clocks=False requires start_times")
 
         gens: dict[int, object] = {}
         done: set[int] = set()
@@ -714,8 +684,6 @@ class Engine:
     def _release_wait(self, ctx: RankCtx, ev: _Wait) -> None:
         posts = self._posts[ev.tag][: ev.count]
         self._sync_count += 1
-        if self.sanitizer is not None:
-            self.sanitizer.on_sync()
         t0 = ctx.clock
         t = t0
         for pr, pclock, _ in posts:
@@ -753,8 +721,6 @@ class Engine:
             bucket[r] = ctx.clock
             if len(bucket) == len(ev.group):
                 self._sync_count += 1
-                if self.sanitizer is not None:
-                    self.sanitizer.on_sync()
                 t = max(bucket.values()) + self._group_latency(ev.group)
                 released = []
                 if self.trace is not None:

@@ -35,6 +35,12 @@ CERT_SCHEMA = "repro-schedule/1"
 #: every certificate schema version :func:`certificate_from_json` loads
 SUPPORTED_CERT_SCHEMAS = (CERT_SCHEMA,)
 
+#: fields earlier ``repro-schedule/1`` writers emitted that no longer
+#: exist; :func:`certificate_from_json` accepts and drops them.
+#: ``sanitize`` switched on a shadow-memory mode whose checks ``verify``
+#: now runs on every schedule.
+RETIRED_CERT_FIELDS = ("sanitize",)
+
 #: every trace payload version :func:`trace_from_json` loads
 SUPPORTED_TRACE_VERSIONS = (1,)
 
@@ -127,13 +133,13 @@ class ScheduleCertificate:
     at each step; past the prefix the replay continues deterministically
     (smallest enabled rank), so the prefix is usually the *minimized*
     part of the schedule and the certificate stays short.  ``failure``
-    names the failed check (``divergence`` / ``race`` / ``deadlock`` /
-    ``sanitizer`` / ``dav`` / ``error``) and ``detail`` carries its
+    names the failed check (``divergence`` / ``race`` / ``uninit`` /
+    ``deadlock`` / ``dav`` / ``error``) and ``detail`` carries its
     human-readable message.
 
-    The engine parameters (``nranks``/``s``/``seed``/``sanitize``) pin
-    the exact program the schedule applies to; ``case`` is the analysis
-    matrix label (e.g. ``"ma/reduce"``).
+    The engine parameters (``nranks``/``s``/``seed``) pin the exact
+    program the schedule applies to; ``case`` is the analysis matrix
+    label (e.g. ``"ma/reduce"``).
     """
 
     case: str
@@ -145,7 +151,6 @@ class ScheduleCertificate:
     failure: str = ""
     detail: str = ""
     seed: int = 0
-    sanitize: bool = False
 
     def describe(self) -> str:
         return (f"[{self.failure}] {self.case} p={self.nranks} s={self.s}: "
@@ -161,7 +166,10 @@ def certificate_to_json(cert: ScheduleCertificate,
 
 
 def certificate_from_json(text: str) -> ScheduleCertificate:
-    """Parse a certificate serialized by :func:`certificate_to_json`."""
+    """Parse a certificate serialized by :func:`certificate_to_json`.
+
+    Unknown fields raise, except the :data:`RETIRED_CERT_FIELDS`, which
+    are dropped."""
     payload = json.loads(text)
     if not isinstance(payload, dict):
         raise ValueError(
@@ -174,6 +182,8 @@ def certificate_from_json(text: str) -> ScheduleCertificate:
             f"unsupported certificate schema {schema!r}; supported "
             f"versions: {', '.join(SUPPORTED_CERT_SCHEMAS)}"
         )
+    for retired in RETIRED_CERT_FIELDS:
+        payload.pop(retired, None)
     known = {f for f in ScheduleCertificate.__dataclass_fields__}
     unknown = set(payload) - known
     if unknown:

@@ -178,7 +178,7 @@ class TestExplorerOnExecutor:
 
             eng.run(prog, ranks=[0])
 
-        executor = _Executor(run_fn, nranks=1, seed=1, sanitize=False)
+        executor = _Executor(run_fn, nranks=1, seed=1)
         explorer = Explorer(executor)
         n = sum(1 for _ in explorer.run())
         assert n == 1 and explorer.complete

@@ -4,14 +4,33 @@ must verify clean with full exploration at p=3."""
 
 import pytest
 
+from repro.__main__ import main
 from repro.analysis.mc import (
     replay_certificate,
     verify_case,
     verify_collective,
     verify_program,
 )
+from repro.analysis.mc.verify import BUFFER_FAILURES
 from repro.analysis.runner import cases
+from repro.analysis.static.passes import BufferPass
 from repro.sim.replay import certificate_from_json, certificate_to_json
+
+#: a certificate exactly as earlier writers of ``repro-schedule/1``
+#: emitted it, with the retired ``sanitize`` field
+LEGACY_CERT = """{
+  "schema": "repro-schedule/1",
+  "case": "ma/reduce",
+  "collective": "ma",
+  "kind": "reduce",
+  "nranks": 2,
+  "s": 1023,
+  "choices": [],
+  "failure": "error",
+  "detail": "ValueError: 1023 bytes is not a whole number of float64 elements",
+  "seed": 12345,
+  "sanitize": false
+}"""
 
 
 # ---- seeded-bug fixtures ---------------------------------------------------
@@ -67,7 +86,9 @@ def oversized_slice(eng):
 
 
 def uninit_read(eng):
-    """Reads a shared region nobody produced (sanitizer fixture)."""
+    """Reads a shared region nobody produced.  The segment is
+    zero-filled, so the output is right, but no write or fill is
+    ordered before the read."""
     shm = eng.alloc_shared(64)
     out = eng.alloc(0, 64, fill=0.0)
 
@@ -110,14 +131,16 @@ class TestSeededBugs:
         assert res.certificate.failure == "error"
         assert "escapes view" in res.certificate.detail
 
-    def test_uninit_read_needs_sanitizer(self):
-        clean = verify_program(uninit_read, nranks=1, label="uninit")
-        assert clean.ok  # zero-filled shm: functionally invisible
-        res = verify_program(uninit_read, nranks=1, label="uninit",
-                             sanitize=True)
+    def test_uninit_read_certificate(self):
+        res = verify_program(uninit_read, nranks=1, label="uninit")
         assert not res.ok
-        assert res.certificate.failure == "sanitizer"
-        assert "uninitialized" in res.certificate.detail
+        assert res.certificate.failure == "uninit"
+        assert "1 uninitialized read(s)" in res.certificate.detail
+        assert "shm[0, 64)" in res.certificate.detail
+
+    def test_buffer_failures_cover_every_buffer_pass_code(self):
+        covered = [c for _, codes, _ in BUFFER_FAILURES for c in codes]
+        assert sorted(covered) == sorted(BufferPass.codes)
 
 
 class TestCertificates:
@@ -144,6 +167,20 @@ class TestCertificates:
     def test_missing_schema_names_supported_versions(self):
         with pytest.raises(ValueError, match="repro-schedule/1"):
             certificate_from_json("{}")
+
+    def test_legacy_certificate_loads_and_replays(self, tmp_path, capsys):
+        cert = certificate_from_json(LEGACY_CERT)
+        assert (cert.case, cert.failure) == ("ma/reduce", "error")
+        assert "sanitize" not in certificate_to_json(cert)
+        path = tmp_path / "ma_reduce.cert.json"
+        path.write_text(LEGACY_CERT)
+        assert main(["verify", "--replay", str(path)]) == 0
+        assert "certificate reproduced: [error]" in capsys.readouterr().out
+
+    def test_unknown_field_still_rejected(self):
+        text = LEGACY_CERT.replace('"sanitize"', '"sanitise"')
+        with pytest.raises(ValueError, match="unknown certificate fields"):
+            certificate_from_json(text)
 
     def test_registered_case_certificate_replays(self):
         """A certificate for a registered collective re-runs through
@@ -184,9 +221,3 @@ class TestRegisteredCollectives:
     def test_unknown_collective_rejected(self):
         with pytest.raises(ValueError, match="unknown collective"):
             verify_collective("nope")
-
-    def test_sanitize_mode_clean_on_ma(self):
-        ma = [c for c in cases("ma") if c.kind == "reduce"][0]
-        res = verify_case(ma, nranks=3, s=192, sanitize=True,
-                          max_schedules=200)
-        assert res.ok, res.describe()

@@ -16,6 +16,7 @@ from repro.analysis.static.ir import Edge, OpNode, ScheduleIR
 from repro.analysis.static.passes import (
     DEFAULT_PASSES,
     NUMA_CROSS_THRESHOLD,
+    BufferPass,
     DeadlockPass,
     LocalityPass,
     run_passes,
@@ -87,6 +88,149 @@ class TestSeededBugs:
                   if f.code == "SA-BUF-UNINIT"]
         assert len(uninit) == 1
         assert "no happens-before-ordered write" in uninit[0].message
+
+
+# ---- shared-memory discipline, one small program per rule -----------------
+
+
+def _uninit_shm_read(eng):
+    shm = eng.alloc_shared(64)
+    dst = eng.alloc(0, 64, fill=0.0)
+
+    def prog(ctx):
+        ctx.copy(dst.view(), shm.view())  # nobody wrote shm
+
+    eng.run(prog, ranks=[0])
+
+
+def _read_after_post_wait(eng):
+    shm = eng.alloc_shared(64)
+    src = eng.alloc(0, 64, fill=2.0)
+    dst = eng.alloc(1, 64, fill=0.0)
+
+    def prog(ctx):
+        if ctx.rank == 0:
+            ctx.copy(shm.view(), src.view())
+            ctx.post(("done",))
+        else:
+            yield ctx.wait(("done",))
+            ctx.copy(dst.view(), shm.view())
+
+    eng.run(prog)
+
+
+def _partial_write(eng):
+    shm = eng.alloc_shared(128)
+    src = eng.alloc(0, 64, fill=1.0)
+    dst = eng.alloc(0, 128, fill=0.0)
+
+    def prog(ctx):
+        ctx.copy(shm.view(0, 64), src.view())  # low half only
+        ctx.copy(dst.view(), shm.view())       # reads all 128
+
+    eng.run(prog, ranks=[0])
+
+
+def _fill_and_random_inputs(eng):
+    a = eng.alloc(0, 64, fill=1.5)
+    b = eng.alloc(0, 64, random=True)
+    out = eng.alloc(0, 64, fill=0.0)
+
+    def prog(ctx):
+        ctx.reduce_out(out.view(), a.view(), b.view())
+
+    eng.run(prog, ranks=[0])
+
+
+def _two_writers(eng, nbytes=64):
+    shm = eng.alloc_shared(nbytes)
+    srcs = [eng.alloc(r, 64, fill=float(r)) for r in range(2)]
+    return shm, srcs
+
+
+def _unsynchronized_writes(eng):
+    shm, srcs = _two_writers(eng)
+
+    def prog(ctx):
+        ctx.copy(shm.view(), srcs[ctx.rank].view())
+
+    eng.run(prog)
+
+
+def _post_wait_separated_writes(eng):
+    shm, srcs = _two_writers(eng)
+
+    def prog(ctx):
+        if ctx.rank == 0:
+            ctx.copy(shm.view(), srcs[0].view())
+            ctx.post(("turn",))
+        else:
+            yield ctx.wait(("turn",))
+            ctx.copy(shm.view(), srcs[1].view())
+
+    eng.run(prog)
+
+
+def _barrier_separated_writes(eng):
+    shm, srcs = _two_writers(eng)
+
+    def prog(ctx):
+        if ctx.rank == 0:
+            ctx.copy(shm.view(), srcs[0].view())
+        yield ctx.barrier((0, 1))
+        if ctx.rank == 1:
+            ctx.copy(shm.view(), srcs[1].view())
+
+    eng.run(prog)
+
+
+def _disjoint_writes(eng):
+    shm, srcs = _two_writers(eng, nbytes=128)
+
+    def prog(ctx):
+        ctx.copy(shm.view(ctx.rank * 64, 64), srcs[ctx.rank].view())
+
+    eng.run(prog)
+
+
+def _same_rank_rewrites(eng):
+    shm, srcs = _two_writers(eng)
+
+    def prog(ctx):
+        ctx.copy(shm.view(), srcs[0].view())
+        ctx.copy(shm.view(), srcs[0].view())
+
+    eng.run(prog, ranks=[0])
+
+
+class TestBufferVerdicts:
+    """Each program's buffer-pass verdict from its one lifted run: the
+    codes it raises and where the first finding points."""
+
+    @pytest.mark.parametrize("program,codes,where", [
+        pytest.param(_uninit_shm_read, {"SA-BUF-UNINIT"}, "shm[0, 64)",
+                     id="uninit_shm_read"),
+        pytest.param(_read_after_post_wait, set(), "",
+                     id="read_after_post_wait"),
+        pytest.param(_partial_write, {"SA-BUF-UNINIT"}, "shm[64, 128)",
+                     id="partial_write"),
+        pytest.param(_fill_and_random_inputs, set(), "",
+                     id="fill_and_random_inputs"),
+        pytest.param(_unsynchronized_writes, {"SA-BUF-OVERLAP"},
+                     "shm[0, 64)", id="unsynchronized_writes"),
+        pytest.param(_post_wait_separated_writes, set(), "",
+                     id="post_wait_separated_writes"),
+        pytest.param(_barrier_separated_writes, set(), "",
+                     id="barrier_separated_writes"),
+        pytest.param(_disjoint_writes, set(), "", id="disjoint_writes"),
+        pytest.param(_same_rank_rewrites, set(), "",
+                     id="same_rank_rewrites"),
+    ])
+    def test_buffer_pass_verdict(self, program, codes, where):
+        findings = BufferPass().run(extract_program(program, nranks=2))
+        assert {f.code for f in findings} == codes
+        if findings:
+            assert where in findings[0].message
 
 
 class TestMatrixInvariants:

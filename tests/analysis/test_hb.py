@@ -25,8 +25,8 @@ def _lift(eng):
 
 def _races(eng):
     """Every unordered conflicting pair, uncapped."""
-    overlaps, races = BufferPass().conflicts(_lift(eng))
-    return overlaps + races
+    found = BufferPass().scan(_lift(eng))
+    return [f for code in RACE_CODES for f in found[code]]
 
 
 def _sliced_writes(slices):
@@ -200,14 +200,15 @@ class TestReporting:
         assert "no dependency path" in report.describe()
 
     def test_find_races_empty_input(self):
-        assert BufferPass().conflicts(ScheduleIR()) == ([], [])
+        assert not any(BufferPass().scan(ScheduleIR()).values())
         assert BufferPass().run(ScheduleIR()) == []
 
     def test_kind_totals_exact_under_truncation(self):
         """The count survives the cap: every pair is write-write, and
         the summary counts all of them, not just the listed ones."""
         eng = _sliced_writes(12)
-        overlaps, races = BufferPass().conflicts(_lift(eng))
+        found = BufferPass().scan(_lift(eng))
+        overlaps, races = found["SA-BUF-OVERLAP"], found["SA-BUF-RACE"]
         assert (len(overlaps), len(races)) == (12, 0)
         findings = BufferPass().run(_lift(eng))
         assert {f.code for f in findings} & set(RACE_CODES) == \

@@ -1,18 +1,25 @@
 """Machine specification tests: presets, topology, cache capacity."""
 
+import dataclasses
+import importlib
+
 import pytest
 
+from repro.bench.discover import benchmarks_dir, ensure_importable
 from repro.machine.spec import (
     CLUSTER_C,
     NODE_A,
     NODE_B,
+    PRESETS,
     CacheSpec,
     SocketSpec,
     available_cache_capacity,
     GB_S,
     KB,
     MB,
+    US,
 )
+from tests.conftest import TINY
 
 
 class TestCacheSpec:
@@ -150,3 +157,44 @@ class TestBindingPolicies:
         assert NODE_D.sockets == 4
         assert NODE_D.total_cores == 64
         assert not NODE_D.socket.l3.inclusive
+
+
+class TestMachineConstants:
+    @pytest.mark.parametrize("field,value", [
+        ("cache_bandwidth_core", 0.0),
+        ("cache_bandwidth_core", -1.0),
+        ("numa_bandwidth", 0.0),
+        ("numa_bandwidth", -1.0),
+        ("numa_latency_factor", 0.0),
+        ("numa_latency_factor", -1.0),
+        ("kernel_page_size", 0),
+        ("kernel_page_size", -4096),
+        ("sync_latency_intra", -1e-6),
+        ("sync_latency_inter", -1e-6),
+        ("op_overhead", -1e-6),
+        ("kernel_page_overhead", -1e-6),
+        ("kernel_syscall_overhead", -1e-6),
+        ("xpmem_attach_overhead", -1e-6),
+    ])
+    def test_impossible_constant_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(NODE_A, **{field: value})
+
+    def test_zero_latencies_and_overheads_allowed(self):
+        m = NODE_A.with_(sync_latency_intra=0.0, sync_latency_inter=0.0,
+                         op_overhead=0.0, kernel_page_overhead=0.0,
+                         kernel_syscall_overhead=0.0,
+                         xpmem_attach_overhead=0.0)
+        assert m.op_overhead == 0.0
+
+    def test_shipped_machines_construct(self):
+        machines = [*PRESETS.values(), TINY]
+        ensure_importable(benchmarks_dir())
+        sync = importlib.import_module("bench_ablation_sync")
+        binding = importlib.import_module("bench_ablation_binding")
+        machines += [NODE_A.with_(sync_latency_intra=lat * US,
+                                  sync_latency_inter=2.5 * lat * US)
+                     for lat in sync.LATENCIES_US]
+        machines += [NODE_A.with_(binding=b) for b in binding.BINDINGS]
+        for m in machines:
+            assert dataclasses.replace(m) == m

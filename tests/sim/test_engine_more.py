@@ -48,11 +48,6 @@ class TestStartTimes:
         assert res.times[0] == pytest.approx(6e-3)
         assert res.times[1] == pytest.approx(1e-3)
 
-    def test_reset_clocks_false_requires_start_times(self):
-        eng = Engine(2, functional=True)
-        with pytest.raises(ValueError):
-            eng.run(lambda ctx: None, reset_clocks=False)
-
 
 class TestDeterminism:
     def _run_once(self, schedule_seed):
