@@ -1,20 +1,17 @@
 """Lift a collective into the static schedule IR.
 
 One traced run at small ``p`` is the *extraction oracle*: the engine's
-parallel streams (:class:`~repro.sim.trace.OpRecord` per operation,
-:class:`~repro.sim.trace.AccessEvent` per byte range,
-:class:`~repro.sim.trace.SyncEvent` per post/wait/barrier release)
-carry exactly the DAG a schedule induces, so the lift is a single
-record-driven walk — no re-execution, no vector clocks:
+:class:`~repro.sim.trace.OpRecord` stream carries exactly the DAG a
+schedule induces, so the lift is a single walk over the records — no
+re-execution, no vector clocks:
 
-* data records become data nodes carrying their byte footprints
-  (``AccessEvent.op_index`` points straight back at the record);
-* the *k*-th post / wait record pairs with the *k*-th post / wait sync
-  event (the engine appends record and event in one atomic section),
-  so a wait's ``matched`` post seqs become its incoming sync edges;
-* a barrier completion appends one sync event plus one contiguous
-  record per member, collapsed here into a single join node
-  (``rank == -1``) with program-order edges from and to every member;
+* data records become data nodes carrying their byte footprints (the
+  record's ``reads``/``writes`` ranges);
+* a wait record's ``matched`` post-record indices become its incoming
+  sync edges;
+* a barrier completion appends one contiguous record per member,
+  collapsed here into a single join node (``rank == -1``) with
+  program-order edges from and to every member;
 * ``blocked`` events (a deadlocked run's certificates) become
   *pending* sync nodes, preserving the stuck waits/barriers the
   deadlock pass reasons about.
@@ -27,9 +24,10 @@ bytes.
 
 The lift refuses traces it cannot represent faithfully rather than
 dropping happens-before edges: a wait whose matched post is missing
-(a truncated trace) and a trace holding more than one engine run
-(slice one out with :meth:`~repro.sim.trace.Trace.slice_last_run`)
-both raise :class:`ValueError`.
+(a truncated trace), a footprint on a buffer that ``buffers=`` does not
+list, and a trace holding more than one engine run (slice one out with
+:meth:`~repro.sim.trace.Trace.slice_last_run`) all raise
+:class:`ValueError`.
 
 Entry points: :func:`extract_case` (one analysis-matrix case),
 :func:`extract_program` (an ad-hoc engine program, e.g. the seeded-bug
@@ -49,7 +47,7 @@ from repro.obs.counters import Counters
 from repro.sim.engine import DeadlockError, Engine
 from repro.sim.replay import ScheduleCertificate
 from repro.sim.scheduler import ControlledScheduler
-from repro.sim.trace import AccessEvent, SyncEvent, Trace
+from repro.sim.trace import Trace
 
 #: default extraction geometry: small enough to lift in milliseconds,
 #: large enough that every algorithm's slicing is non-degenerate
@@ -119,64 +117,20 @@ def ir_from_trace(trace: Trace, *, buffers: Sequence = (),
 
     ``trace`` must cover a *single* engine run (the extraction helpers
     always build a fresh engine; more than one ``run_start`` marker is
-    refused); ``buffers`` is the engine's buffer
-    list — buffers only seen in access events get stub entries sized to
-    the largest access, marked initialized (no false uninit findings on
-    hand-built traces).
+    refused); ``buffers`` is the engine's buffer list, and every buffer
+    a record's footprint names must be on it.
     """
-    buf_infos, buf_index = _buffer_infos(buffers)
-    # footprints per record index
-    reads_of: Dict[int, List[Footprint]] = {}
-    writes_of: Dict[int, List[Footprint]] = {}
-    post_events: List[SyncEvent] = []
-    wait_events: List[SyncEvent] = []
-    barrier_events: List[SyncEvent] = []
-    blocked_events: List[SyncEvent] = []
-    runs = 0
-    for ev in trace.events:
-        if isinstance(ev, AccessEvent):
-            if ev.buf_id not in buf_index:
-                buf_index[ev.buf_id] = len(buf_infos)
-                buf_infos.append(BufferInfo(
-                    buf=len(buf_infos), name=ev.buf_name, nbytes=ev.end,
-                    shared=ev.shared, initialized=True,
-                ))
-            elif ev.end > buf_infos[buf_index[ev.buf_id]].nbytes \
-                    and buffers == ():
-                i = buf_index[ev.buf_id]
-                buf_infos[i] = BufferInfo(
-                    buf=i, name=ev.buf_name, nbytes=ev.end,
-                    shared=ev.shared, initialized=True,
-                )
-            fp = Footprint(buf_index[ev.buf_id], ev.off, ev.nbytes)
-            target = writes_of if ev.mode == "w" else reads_of
-            target.setdefault(ev.op_index, []).append(fp)
-        elif isinstance(ev, SyncEvent):
-            if ev.kind == "post":
-                post_events.append(ev)
-            elif ev.kind == "wait":
-                wait_events.append(ev)
-            elif ev.kind == "barrier":
-                barrier_events.append(ev)
-            elif ev.kind == "blocked":
-                blocked_events.append(ev)
-            elif ev.kind == "run_start":
-                runs += 1
+    runs = sum(1 for ev in trace.events if ev.kind == "run_start")
     if runs > 1:
         raise ValueError(
             f"trace holds {runs} engine runs but the IR lifts a single "
             "run: slice one out with Trace.slice_last_run"
         )
-
+    buf_infos, buf_index = _buffer_infos(buffers)
     ir = ScheduleIR(meta=meta, buffers=buf_infos)
     last_node: Dict[int, int] = {}
-    node_of_post_seq: Dict[int, int] = {}
+    node_of_post: Dict[int, int] = {}  # post record index -> node
     posts_by_tag: Dict[object, List[int]] = {}
-    pi = wi = bi = 0
-
-    def _new(node: OpNode) -> int:
-        nid = ir.add_node(node)
-        return nid
 
     def _chain(rank: int, nid: int) -> None:
         prev = last_node.get(rank)
@@ -184,29 +138,32 @@ def ir_from_trace(trace: Trace, *, buffers: Sequence = (),
             ir.add_edge(prev, nid, "po")
         last_node[rank] = nid
 
+    def _footprints(ranges: tuple) -> Tuple[Footprint, ...]:
+        try:
+            return tuple(Footprint(buf_index[b], off, n)
+                         for b, off, n in ranges)
+        except KeyError as exc:
+            raise ValueError(
+                f"trace touches buffer id {exc.args[0]}, which is not in "
+                "buffers= (pass the engine's buffer list)"
+            ) from None
+
     records = trace.records
     i = 0
     while i < len(records):
         rec = records[i]
         if rec.kind == "barrier":
-            if bi >= len(barrier_events):
-                raise ValueError(
-                    "trace is inconsistent: barrier record without a "
-                    "matching barrier sync event (truncated trace?)"
-                )
-            ev = barrier_events[bi]
-            bi += 1
-            group = tuple(ev.group)
+            group = rec.group
             batch = records[i:i + len(group)]
             if len(batch) != len(group) or any(
-                    r.kind != "barrier" for r in batch):
+                    r.kind != "barrier" or r.group != group for r in batch):
                 raise ValueError(
                     "trace is inconsistent: barrier record batch does "
                     f"not cover group {group}"
                 )
-            nid = _new(OpNode(
+            nid = ir.add_node(OpNode(
                 node=len(ir.nodes), rank=-1, kind="barrier", group=group,
-                arrived=tuple(ev.matched),
+                arrived=group,
                 t_start=max(r.t_start for r in batch),
                 t_end=batch[0].t_end,
             ))
@@ -215,39 +172,35 @@ def ir_from_trace(trace: Trace, *, buffers: Sequence = (),
             i += len(group)
             continue
         if rec.kind == "post":
-            ev = post_events[pi]
-            pi += 1
-            nid = _new(OpNode(
+            nid = ir.add_node(OpNode(
                 node=len(ir.nodes), rank=rec.rank, kind="post",
                 tag=rec.tag, t_start=rec.t_start, t_end=rec.t_end,
             ))
-            node_of_post_seq[ev.seq] = nid
+            node_of_post[i] = nid
             posts_by_tag.setdefault(rec.tag, []).append(nid)
             _chain(rec.rank, nid)
         elif rec.kind == "wait":
-            ev = wait_events[wi]
-            wi += 1
-            nid = _new(OpNode(
+            nid = ir.add_node(OpNode(
                 node=len(ir.nodes), rank=rec.rank, kind="wait",
                 tag=rec.tag, count=rec.count,
                 t_start=rec.t_start, t_end=rec.t_end,
             ))
             _chain(rec.rank, nid)
-            for seq in ev.matched:
-                src = node_of_post_seq.get(seq)
+            for j in rec.matched:
+                src = node_of_post.get(j)
                 if src is None:
                     raise ValueError(
                         f"trace is inconsistent: rank {rec.rank} "
-                        f"wait({rec.tag!r}) matched post event #{seq}, "
+                        f"wait({rec.tag!r}) matched post record #{j}, "
                         "which is not in the trace (truncated trace?)"
                     )
                 ir.add_edge(src, nid, "sync")
         else:
-            nid = _new(OpNode(
+            nid = ir.add_node(OpNode(
                 node=len(ir.nodes), rank=rec.rank, kind=rec.kind,
                 nbytes=rec.nbytes, nt=bool(rec.nt),
-                reads=tuple(reads_of.get(i, ())),
-                writes=tuple(writes_of.get(i, ())),
+                reads=_footprints(rec.reads),
+                writes=_footprints(rec.writes),
                 t_start=rec.t_start, t_end=rec.t_end,
             ))
             _chain(rec.rank, nid)
@@ -255,15 +208,17 @@ def ir_from_trace(trace: Trace, *, buffers: Sequence = (),
 
     # a deadlocked run's stuck syncs: pending nodes so the deadlock
     # pass sees the unsatisfied waits and incomplete barriers
-    for ev in blocked_events:
+    for ev in trace.events:
+        if ev.kind != "blocked":
+            continue
         if ev.group:
-            nid = _new(OpNode(
+            nid = ir.add_node(OpNode(
                 node=len(ir.nodes), rank=ev.rank, kind="barrier",
                 group=tuple(ev.group), arrived=tuple(ev.matched),
                 pending=True,
             ))
         else:
-            nid = _new(OpNode(
+            nid = ir.add_node(OpNode(
                 node=len(ir.nodes), rank=ev.rank, kind="wait",
                 tag=ev.tag, count=ev.count, pending=True,
             ))

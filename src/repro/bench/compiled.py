@@ -4,7 +4,7 @@ A sweep cell normally executes the coroutine engine twice (warm-up +
 measured iteration).  The compiled path instead:
 
 1. runs the cell **once** with light tracing on (only on schedule-cache
-   miss; AccessEvent emission off — the lowering consumes op records
+   miss; no per-record byte ranges — the lowering consumes op records
    and sync structure only), lifts the measured iteration into the
    ``repro-ir/1`` DAG and lowers it (:func:`repro.sim.compiled.lower`);
 2. stores the lowered schedule in a content-addressed
@@ -173,9 +173,9 @@ def capture_schedule(spec: RunnerSpec, machine, p: int,
     bench cell's (tracing only observes), so the captured reference
     times, DAV and per-rank traffic are exactly what the coroutine
     path would report.  Light tracing (``trace_accesses=False``) skips
-    the per-range AccessEvent stream — the lowering consumes op
-    records and sync structure only — which removes most of the
-    capture's tracing overhead.
+    each record's byte ranges — the lowering consumes op records and
+    sync structure only — which removes most of the capture's tracing
+    overhead.
     """
     from repro.analysis.static.extract import ir_from_trace, machine_meta
     from repro.bench.runners import resolve_imax

@@ -12,8 +12,9 @@ Produces the JSON Object Format of the Trace Event spec — loadable in
   timeline shows *why* time went where (MA's reduce wavefront vs its
   copy-out phase);
 * **flow arrows** (``ph: "s"``/``"f"``) from each post to the waits it
-  released, reconstructed from the sync event stream's ``matched``
-  seqs — the cross-rank happens-before edges, drawn;
+  released, read from each wait record's ``matched`` post indices —
+  the cross-rank happens-before edges, drawn (a post's record index is
+  its arrows' ``id``);
 * **counter tracks** (``ph: "C"``) of cumulative copy / NT-copy /
   reduce bytes over simulated time.
 
@@ -147,30 +148,20 @@ def chrome_trace(trace: Trace, *, counters: Optional[dict] = None,
 
 
 def _flow_events(trace: Trace) -> List[dict]:
-    """Post -> wait flow arrows from the sync event stream.
-
-    ``ctx.post`` and ``Engine._release_wait`` append the
-    :class:`~repro.sim.trace.SyncEvent` and its twin OpRecord together,
-    so zipping the per-kind subsequences recovers each event's time.
-    """
-    post_evs = [e for e in trace.sync_events() if e.kind == "post"]
-    post_recs = trace.by_kind("post")
-    wait_evs = [e for e in trace.sync_events() if e.kind == "wait"]
-    wait_recs = trace.by_kind("wait")
-    by_seq = {ev.seq: rec for ev, rec in zip(post_evs, post_recs)}
+    """Post -> wait flow arrows: each wait record's ``matched`` names
+    the post records that released it."""
+    records = trace.records
     out: List[dict] = []
-    for ev, rec in zip(wait_evs, wait_recs):
-        for seq in ev.matched:
-            post = by_seq.get(seq)
-            if post is None:
-                continue
+    for rec in trace.by_kind("wait"):
+        for j in rec.matched:
+            post = records[j]
             out.append({
                 "ph": "s", "pid": 0, "tid": post.rank, "name": "sync",
-                "cat": "flow", "id": int(seq), "ts": post.t_start * _US,
+                "cat": "flow", "id": j, "ts": post.t_start * _US,
             })
             out.append({
                 "ph": "f", "pid": 0, "tid": rec.rank, "name": "sync",
-                "cat": "flow", "id": int(seq), "ts": rec.t_end * _US,
+                "cat": "flow", "id": j, "ts": rec.t_end * _US,
                 "bp": "e",
             })
     return out

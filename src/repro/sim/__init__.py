@@ -41,7 +41,7 @@ from repro.sim.scheduler import (
     StepRecord,
 )
 from repro.sim.timeline import render_timeline, rank_stats, critical_rank
-from repro.sim.trace import AccessEvent, OpRecord, SpanRecord, SyncEvent, Trace
+from repro.sim.trace import OpRecord, SpanRecord, SyncEvent, Trace
 
 __all__ = [
     "Buffer",
@@ -62,7 +62,6 @@ __all__ = [
     "RunResult",
     "BlockedInfo",
     "DeadlockError",
-    "AccessEvent",
     "OpRecord",
     "SpanRecord",
     "SyncEvent",

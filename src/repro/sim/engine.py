@@ -47,7 +47,7 @@ from repro.sim.buffers import (
     alloc_shared,
 )
 from repro.sim.scheduler import FifoScheduler, SchedulerPolicy
-from repro.sim.trace import AccessEvent, OpRecord, SpanRecord, SyncEvent, Trace
+from repro.sim.trace import OpRecord, SpanRecord, SyncEvent, Trace
 
 REDUCE_OPS = {
     "sum": np.add,
@@ -352,17 +352,14 @@ class RankCtx:
     def post(self, tag: object) -> None:
         """Signal ``tag`` (atomic flag update; non-blocking)."""
         eng = self.engine
-        seq = 0
+        index = -1
         if eng.trace is not None:
-            seq = eng.trace.next_seq()
-            eng.trace.add_event(
-                SyncEvent(seq=seq, rank=self.rank, kind="post", tag=tag)
-            )
+            index = len(eng.trace.records)
             eng.trace.add(
                 OpRecord(rank=self.rank, kind="post", nbytes=0, tag=tag,
                          t_start=self.clock, t_end=self.clock)
             )
-        eng._posts.setdefault(tag, []).append((self.rank, self.clock, seq))
+        eng._posts.setdefault(tag, []).append((self.rank, self.clock, index))
 
     def wait(self, tag: object, count: int = 1) -> _Wait:
         """Event: block until ``count`` ranks have posted ``tag``."""
@@ -403,13 +400,13 @@ class Engine:
         as a concurrency fuzzer.  Controlled policies let
         :mod:`repro.analysis.mc` enumerate interleavings.
 
-        ``trace_accesses=False`` keeps op records, spans and sync
-        events but skips the per-byte-range :class:`AccessEvent`
-        stream.  The compiled-schedule capture uses this *light
+        ``trace_accesses=False`` keeps op records, spans and events
+        but leaves every record's ``reads``/``writes`` byte ranges
+        empty.  The compiled-schedule capture uses this *light
         tracing* mode: lowering only needs the op/sync structure, and
-        access events dominate the capture overhead on slice-heavy
+        the byte ranges dominate the capture overhead on slice-heavy
         cells.  Traces meant for the race and uninitialized-read
-        passes of the schedule analyzer need the full stream (the
+        passes of the schedule analyzer need the ranges (the
         default)."""
         if nranks <= 0:
             raise ValueError("nranks must be positive")
@@ -468,6 +465,13 @@ class Engine:
                 reads: tuple = (), writes: tuple = ()) -> None:
         if self.trace is None:
             return
+        if self.trace_accesses:
+            reads = tuple((v.buf.buf_id, v.off, v.nbytes)
+                          for v in reads if v.nbytes)
+            writes = tuple((v.buf.buf_id, v.off, v.nbytes)
+                           for v in writes if v.nbytes)
+        else:
+            reads = writes = ()
         self.trace.add(
             OpRecord(
                 rank=ctx.rank,
@@ -479,29 +483,10 @@ class Engine:
                 policy=policy,
                 t_start=t0,
                 t_end=ctx.clock,
+                reads=reads,
+                writes=writes,
             )
         )
-        if not self.trace_accesses:
-            return
-        op_index = len(self.trace.records) - 1
-        for mode, views in (("r", reads), ("w", writes)):
-            for v in views:
-                if v.nbytes == 0:
-                    continue
-                self.trace.add_event(
-                    AccessEvent(
-                        seq=self.trace.next_seq(),
-                        rank=ctx.rank,
-                        mode=mode,
-                        buf_id=v.buf.buf_id,
-                        buf_name=v.buf.name,
-                        shared=v.buf.kind == "shared",
-                        off=v.off,
-                        nbytes=v.nbytes,
-                        op_kind=kind,
-                        op_index=op_index,
-                    )
-                )
 
     # ---- sync cost helpers -----------------------------------------------------------
 
@@ -550,8 +535,7 @@ class Engine:
             # global synchronization (the previous run drained fully);
             # the marker lets Trace.slice_last_run cut out one run.
             self.trace.add_event(
-                SyncEvent(seq=self.trace.next_seq(), rank=-1,
-                          kind="run_start", group=tuple(ranks))
+                SyncEvent(rank=-1, kind="run_start", group=tuple(ranks))
             )
             first_record = len(self.trace.records)
             first_span = len(self.trace.spans)
@@ -690,19 +674,10 @@ class Engine:
             t = max(t, pclock + self._pair_latency(pr, ctx.rank))
         ctx.clock = t
         if self.trace is not None:
-            self.trace.add_event(
-                SyncEvent(
-                    seq=self.trace.next_seq(),
-                    rank=ctx.rank,
-                    kind="wait",
-                    tag=ev.tag,
-                    count=ev.count,
-                    matched=tuple(seq for _, _, seq in posts),
-                )
-            )
             self.trace.add(
                 OpRecord(rank=ctx.rank, kind="wait", nbytes=0, tag=ev.tag,
-                         count=ev.count, t_start=t0, t_end=t)
+                         count=ev.count, t_start=t0, t_end=t,
+                         matched=tuple(index for _, _, index in posts))
             )
 
     def _handle_event(self, r: int, ctx: RankCtx, ev, ctxs):
@@ -724,15 +699,6 @@ class Engine:
                 t = max(bucket.values()) + self._group_latency(ev.group)
                 released = []
                 if self.trace is not None:
-                    self.trace.add_event(
-                        SyncEvent(
-                            seq=self.trace.next_seq(),
-                            rank=r,
-                            kind="barrier",
-                            group=ev.group,
-                            matched=tuple(sorted(bucket)),
-                        )
-                    )
                     for br in ev.group:
                         self.trace.add(
                             OpRecord(rank=br, kind="barrier", nbytes=0,
@@ -770,7 +736,7 @@ class Engine:
             if self.trace is not None:
                 self.trace.add_event(
                     SyncEvent(
-                        seq=self.trace.next_seq(), rank=r, kind="blocked",
+                        rank=r, kind="blocked",
                         tag=getattr(ev, "tag", None),
                         count=getattr(ev, "count", 0),
                         group=getattr(ev, "group", ()),

@@ -118,8 +118,8 @@ class ControlledScheduler(SchedulerPolicy):
     enabled — which marks the run *diverged*) it falls back to the
     smallest enabled rank, making the continuation deterministic.
     Every step is recorded as a :class:`StepRecord`, with data/sync
-    footprints extracted from the engine's event trace when tracing is
-    on — the input to the DPOR conflict relation.
+    footprints read from the op records the step appended when tracing
+    is on — the input to the DPOR conflict relation.
     """
 
     choices: Sequence[int] = ()
@@ -130,7 +130,7 @@ class ControlledScheduler(SchedulerPolicy):
     controlled = True
 
     def begin_run(self, engine, ranks: Sequence[int]) -> None:
-        # The DPOR conflict relation is built from AccessEvent byte
+        # The DPOR conflict relation is built from the records' byte
         # ranges; the compiled-capture light-tracing mode drops those.
         # Refuse loudly rather than explore with empty footprints.
         if engine.trace is not None and \
@@ -148,7 +148,7 @@ class ControlledScheduler(SchedulerPolicy):
             if i < len(self.choices):
                 self.diverged = True
             choice = min(candidates)
-        n0 = len(engine.trace.events) if engine.trace is not None else 0
+        n0 = len(engine.trace.records) if engine.trace is not None else 0
         self._pending = (choice, tuple(candidates), n0)
         return choice
 
@@ -161,17 +161,14 @@ class ControlledScheduler(SchedulerPolicy):
         posts: List[object] = []
         waits: List[object] = []
         if engine.trace is not None:
-            from repro.sim.trace import AccessEvent, SyncEvent
-
-            for ev in engine.trace.events[n0:]:
-                if isinstance(ev, AccessEvent):
-                    rng = (ev.buf_id, ev.off, ev.end)
-                    (writes if ev.mode == "w" else reads).append(rng)
-                elif isinstance(ev, SyncEvent) and ev.rank == rank:
-                    if ev.kind == "post":
-                        posts.append(ev.tag)
-                    elif ev.kind == "wait":
-                        waits.append(ev.tag)
+            for rec in engine.trace.records[n0:]:
+                reads.extend((b, off, off + n) for b, off, n in rec.reads)
+                writes.extend((b, off, off + n) for b, off, n in rec.writes)
+                if rec.rank == rank:
+                    if rec.kind == "post":
+                        posts.append(rec.tag)
+                    elif rec.kind == "wait":
+                        waits.append(rec.tag)
         self.steps.append(
             StepRecord(
                 index=len(self.steps),

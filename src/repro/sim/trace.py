@@ -7,18 +7,18 @@ on and check, operation by operation, that the schedule matches the
 paper's figures (e.g. Figure 6's step/slice/rank table for the
 movement-avoiding reduce-scatter).
 
-A trace carries three parallel streams:
+A trace carries one stream of operations and two side streams:
 
 * ``records`` — one :class:`OpRecord` per engine operation (data *and*
-  synchronization), the per-rank schedule view consumed by the replay
-  and timeline tools;
-* ``events`` — fine-grained :class:`AccessEvent`/:class:`SyncEvent`
-  entries in global execution order, the input to the schedule-IR
-  lift (:func:`repro.analysis.static.extract.ir_from_trace`).  Access
-  events name the exact buffer byte range each operation read or
-  wrote; sync events capture post/wait/barrier structure, including
-  *which* posts a wait matched — everything a happens-before
-  construction needs;
+  synchronization) in global execution order: the per-rank schedule
+  view of the timeline tools and the input to the schedule-IR lift
+  (:func:`repro.analysis.static.extract.ir_from_trace`).  A data
+  record names the exact buffer byte ranges it read and wrote; a
+  ``wait`` record names the post records that released it —
+  everything a happens-before construction needs;
+* ``events`` — :class:`SyncEvent` markers that belong to no operation:
+  where each :meth:`~repro.sim.engine.Engine.run` began, and the
+  waits and barriers a deadlocked run left blocked;
 * ``spans`` — coarse :class:`SpanRecord` phase labels emitted through
   the :meth:`~repro.sim.engine.RankCtx.span` API, naming *why* a rank
   spent a stretch of time (e.g. MA's reduce wavefront vs its copy-out
@@ -28,7 +28,7 @@ A trace carries three parallel streams:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator, List, Optional
+from typing import Iterator, Optional
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,15 @@ class OpRecord:
     Synchronization records carry structured metadata instead of
     abusing the ``src``/``dst`` strings: ``tag`` is the flag identity a
     ``post``/``wait`` named, ``count`` the number of posts a ``wait``
-    required, and ``group`` the member tuple of a ``barrier``.
+    required, ``matched`` the ``Trace.records`` indices of the posts
+    that released it, and ``group`` the member tuple of a ``barrier``
+    (one record per member, appended together when the last one
+    arrives).
+
+    ``reads``/``writes`` are the ``(buf_id, off, nbytes)`` byte ranges
+    a data operation loaded and stored, in operand order, without
+    zero-byte views; an engine built with ``trace_accesses=False``
+    records none.
     """
 
     rank: int
@@ -58,6 +66,9 @@ class OpRecord:
     tag: object = None
     count: int = 0
     group: tuple = ()
+    reads: tuple = ()
+    writes: tuple = ()
+    matched: tuple = ()
 
     @property
     def duration(self) -> float:
@@ -66,32 +77,6 @@ class OpRecord:
     @property
     def is_sync(self) -> bool:
         return self.kind in ("post", "wait", "barrier")
-
-
-@dataclass(frozen=True)
-class AccessEvent:
-    """One byte-range access of a data operation.
-
-    ``mode`` is ``"r"`` or ``"w"``; ``op_index`` points back into
-    ``Trace.records`` (``-1`` when the operation was not recorded).
-    ``shared`` marks accesses to :class:`~repro.sim.buffers.SharedBuffer`
-    segments — the ranges cross-rank races live on.
-    """
-
-    seq: int
-    rank: int
-    mode: str
-    buf_id: int
-    buf_name: str
-    shared: bool
-    off: int
-    nbytes: int
-    op_kind: str
-    op_index: int = -1
-
-    @property
-    def end(self) -> int:
-        return self.off + self.nbytes
 
 
 @dataclass(frozen=True)
@@ -116,23 +101,19 @@ class SpanRecord:
 
 @dataclass(frozen=True)
 class SyncEvent:
-    """One synchronization event, in global execution order.
+    """One engine event that is not an operation.
 
     ``kind``:
 
-    * ``"post"`` — rank published ``tag``;
-    * ``"wait"`` — rank's ``wait(tag, count)`` was released; ``matched``
-      holds the event seqs of the posts that satisfied it;
-    * ``"barrier"`` — a barrier on ``group`` completed (one event per
-      completion, emitted by the last arriver);
+    * ``"run_start"`` — :meth:`Engine.run` began on the ranks in
+      ``group`` (separates back-to-back collectives on one engine;
+      :meth:`Trace.slice_last_run` cuts at the last one);
     * ``"blocked"`` — the run deadlocked with this rank parked on the
-      described wait/barrier (a deadlock certificate);
-    * ``"run_start"`` — :meth:`Engine.run` began (separates back-to-back
-      collectives on one engine; :meth:`Trace.slice_last_run` cuts at
-      the last one).
+      described wait (``tag``/``count``, ``matched`` the ranks that
+      posted) or barrier (``group``, ``matched`` the ranks that
+      arrived): a deadlock certificate.
     """
 
-    seq: int
     rank: int
     kind: str
     tag: object = None
@@ -147,9 +128,8 @@ class Trace:
 
     def __init__(self) -> None:
         self.records: list[OpRecord] = []
-        self.events: list = []  # AccessEvent | SyncEvent, execution order
+        self.events: list[SyncEvent] = []
         self.spans: list[SpanRecord] = []
-        self._seq = 0
 
     def add(self, rec: OpRecord) -> None:
         self.records.append(rec)
@@ -157,11 +137,7 @@ class Trace:
     def add_span(self, span: SpanRecord) -> None:
         self.spans.append(span)
 
-    def next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
-    def add_event(self, ev) -> None:
+    def add_event(self, ev: SyncEvent) -> None:
         self.events.append(ev)
 
     def __len__(self) -> int:
@@ -178,27 +154,26 @@ class Trace:
         offsets (:attr:`~repro.sim.engine.RunResult.first_record` /
         ``first_span`` of the engine's most recent run): events are cut
         at the last ``run_start`` separator, so slicing any earlier run
-        would mismatch records and events.  ``AccessEvent.op_index``
-        values (absolute indices into the cumulative record list) are
+        would mismatch records and events.  A wait's ``matched`` post
+        indices (absolute indices into the cumulative record list) are
         rebased to the sliced list, which makes the result a valid
         input for :func:`repro.analysis.static.extract.ir_from_trace`.
         """
         out = Trace()
         out.records = self.records[first_record:]
+        if first_record:
+            out.records = [
+                replace(r, matched=tuple(j - first_record
+                                         for j in r.matched))
+                if r.matched else r
+                for r in out.records
+            ]
         out.spans = self.spans[first_span:]
         start = 0
         for i, ev in enumerate(self.events):
-            if isinstance(ev, SyncEvent) and ev.kind == "run_start":
+            if ev.kind == "run_start":
                 start = i + 1
-        if first_record:
-            for ev in self.events[start:]:
-                if isinstance(ev, AccessEvent) and ev.op_index >= 0:
-                    ev = replace(ev, op_index=ev.op_index - first_record)
-                out.events.append(ev)
-        else:
-            # nothing to rebase: skip the per-event dataclass copies
-            out.events.extend(self.events[start:])
-        out._seq = self._seq
+        out.events = self.events[start:]
         return out
 
     def by_rank(self, rank: int) -> list[OpRecord]:
@@ -206,12 +181,6 @@ class Trace:
 
     def by_kind(self, kind: str) -> list[OpRecord]:
         return [r for r in self.records if r.kind == kind]
-
-    def accesses(self) -> List[AccessEvent]:
-        return [e for e in self.events if isinstance(e, AccessEvent)]
-
-    def sync_events(self) -> List[SyncEvent]:
-        return [e for e in self.events if isinstance(e, SyncEvent)]
 
     def copy_bytes(self, *, nt: Optional[bool] = None) -> int:
         return sum(

@@ -213,6 +213,29 @@ class TestRegisteredCollectives:
         assert res.complete, "exploration should exhaust within budget"
         assert res.schedules > 1, "conflicting steps must fork schedules"
 
+    def test_exploration_pinned_at_p3(self):
+        """The whole matrix at p=3, s=256 explores exactly these
+        schedule counts (the CI ``verify-exhaustive`` step).  A count
+        moves if any step footprint or sync tag that feeds the DPOR
+        conflict relation moves."""
+        results = verify_collective("all", nranks=3, s=256,
+                                    max_schedules=300)
+        assert all(r.ok and r.complete for r in results)
+        assert {r.label: r.schedules for r in results} == {
+            "ma/reduce_scatter": 49, "ma/allreduce": 98, "ma/reduce": 49,
+            "socket_aware/reduce_scatter": 8,
+            "socket_aware/allreduce": 16, "socket_aware/reduce": 8,
+            "ring/reduce_scatter": 23, "ring/allreduce": 124,
+            "rabenseifner/reduce_scatter": 6,
+            "rabenseifner/allreduce": 6,
+            "dpml/reduce_scatter": 2, "dpml/allreduce": 4,
+            "dpml/reduce": 2, "dpml2/allreduce": 28,
+            "rg/allreduce": 12, "rg/reduce": 2,
+            "bcast/bcast": 4, "allgather/allgather": 2,
+            "ordered/allreduce": 33, "ordered/reduce": 33,
+            "vector/reduce_scatter_v": 49, "vector/allgather_v": 2,
+        }
+
     def test_verify_collective_all_kinds(self):
         results = verify_collective("dpml", nranks=3, s=192,
                                     max_schedules=50)

@@ -1,16 +1,19 @@
 """Golden IR snapshots: every registered collective at p in {2, 4}.
 
-The snapshot is :meth:`ScheduleIR.signature` — node/edge census,
-per-rank data-op counts, sync structure and static DAV.  Deliberately
-machine- and timing-free, so the test pins the *schedule shape*: any
-reordered, missing, resized or duplicated operation fails it, while
-timing-model recalibration does not.
+Each snapshot holds :meth:`ScheduleIR.signature` — node/edge census,
+per-rank data-op counts, sync structure and static DAV — plus
+``ir_sha256``, the SHA-256 of the whole ``repro-ir/1`` document
+(:func:`ir_to_json`).  The signature is machine- and timing-free and
+names *what* changed in a schedule's shape; the digest pins the lift
+byte for byte: node, edge and footprint order, every byte range and
+every NodeA timing.
 
 To regenerate after an intentional schedule change::
 
     PYTHONPATH=src python tests/analysis/static/test_golden.py
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -18,17 +21,21 @@ import pytest
 
 from repro.analysis.runner import cases
 from repro.analysis.static.extract import extract_case
+from repro.analysis.static.ir import ir_to_json
 
 GOLDEN_PATH = Path(__file__).parent / "golden_ir.json"
 RANK_COUNTS = (2, 4)
 
 
+def _snapshot(case, p: int) -> dict:
+    ir = extract_case(case, nranks=p)
+    digest = hashlib.sha256(ir_to_json(ir).encode()).hexdigest()
+    return dict(ir.signature(), ir_sha256=digest)
+
+
 def _current():
-    out = {}
-    for p in RANK_COUNTS:
-        for c in cases("all"):
-            out[f"{c.label}@p{p}"] = extract_case(c, nranks=p).signature()
-    return out
+    return {f"{c.label}@p{p}": _snapshot(c, p)
+            for p in RANK_COUNTS for c in cases("all")}
 
 
 @pytest.fixture(scope="module")
@@ -40,11 +47,19 @@ def golden():
 def test_signatures_match_golden(golden, p):
     for c in cases("all"):
         key = f"{c.label}@p{p}"
-        sig = extract_case(c, nranks=p).signature()
+        snap = _snapshot(c, p)
         assert key in golden, f"{key} missing from golden file — " \
             "regenerate (see module docstring)"
-        assert sig == golden[key], (
+        want = dict(golden[key])
+        want_digest = want.pop("ir_sha256")
+        digest = snap.pop("ir_sha256")
+        assert snap == want, (
             f"{key} schedule shape changed; if intentional, regenerate "
+            "the golden file (see module docstring)"
+        )
+        assert digest == want_digest, (
+            f"{key} lifted IR document changed (same shape: an order, "
+            "byte range or timing moved); if intentional, regenerate "
             "the golden file (see module docstring)"
         )
 

@@ -14,12 +14,13 @@ from repro.sim.trace import OpRecord, Trace
 def _traced_run(p=6, s=4800):
     eng = Engine(p, functional=True, trace=True)
     run_collective(MA_ALLREDUCE, eng, s, imax=512)
-    return eng.trace, p, s
+    return eng.trace, eng.buffers, p, s
 
 
-def _dav_finding(trace, kind, algorithm, s, p):
+def _dav_finding(trace, buffers, kind, algorithm, s, p):
     meta = {"kind": kind, "dav_algorithm": algorithm, "s": s, "nranks": p}
-    (finding,) = StaticDavPass().run(ir_from_trace(trace, meta=meta))
+    ir = ir_from_trace(trace, buffers=buffers, meta=meta)
+    (finding,) = StaticDavPass().run(ir)
     return finding
 
 
@@ -33,25 +34,25 @@ def test_static_dav_is_2copy_plus_3reduce():
 
 
 def test_ma_allreduce_matches_formula_exactly():
-    trace, p, s = _traced_run()
-    finding = _dav_finding(trace, "allreduce", "ma", s, p)
+    trace, buffers, p, s = _traced_run()
+    finding = _dav_finding(trace, buffers, "allreduce", "ma", s, p)
     assert finding.code == "SA-DAV-OK"
     assert finding.data["measured"] == \
         implementation_dav("allreduce", "ma", s, p)
 
 
 def test_excess_movement_fails():
-    trace, p, s = _traced_run()
+    trace, buffers, p, s = _traced_run()
     trace.add(OpRecord(rank=0, kind="copy", nbytes=64))  # redundant copy
-    finding = _dav_finding(trace, "allreduce", "ma", s, p)
+    finding = _dav_finding(trace, buffers, "allreduce", "ma", s, p)
     assert finding.code == "SA-DAV-EXCESS"
     assert finding.severity == "error"
     assert "128 B of redundant movement" in finding.message
 
 
 def test_unknown_collective_is_skipped_not_passed():
-    trace, p, s = _traced_run()
-    finding = _dav_finding(trace, "allreduce", "mystery", s, p)
+    trace, buffers, p, s = _traced_run()
+    finding = _dav_finding(trace, buffers, "allreduce", "mystery", s, p)
     assert finding.code == "SA-DAV-SKIP"
     assert finding.severity == "info"  # skipped is not a failure
     assert "no DAV model" in finding.message

@@ -7,7 +7,7 @@ import pytest
 from repro.analysis.static.extract import ir_from_trace
 from repro.analysis.static.passes import DeadlockPass, run_passes
 from repro.sim.engine import DeadlockError, Engine
-from repro.sim.trace import OpRecord, SyncEvent, Trace
+from repro.sim.trace import OpRecord, Trace
 
 
 def _findings(eng, code):
@@ -136,10 +136,17 @@ class TestTraceIntegrity:
         happens-before edge; the lift refuses it instead."""
         trace = Trace()
         trace.add(OpRecord(rank=1, kind="wait", nbytes=0, tag=("x",),
-                           count=1))
-        trace.add_event(SyncEvent(seq=5, rank=1, kind="wait",
-                                  tag=("x",), count=1, matched=(3,)))
+                           count=1, matched=(3,)))
         with pytest.raises(ValueError, match="truncated"):
+            ir_from_trace(trace)
+
+    def test_footprint_needs_its_buffer(self):
+        """A byte range on a buffer that ``buffers=`` does not list is
+        refused rather than lifted against a guessed buffer."""
+        trace = Trace()
+        trace.add(OpRecord(rank=0, kind="touch", nbytes=8,
+                           reads=((7, 0, 8),)))
+        with pytest.raises(ValueError, match="buffers="):
             ir_from_trace(trace)
 
 

@@ -80,8 +80,7 @@ class TestGoldenSchema:
         starts = {ev["id"]: ev for ev in doc["traceEvents"]
                   if ev["ph"] == "s"}
         finishes = [ev for ev in doc["traceEvents"] if ev["ph"] == "f"]
-        matched = {seq for w in trace.sync_events() if w.kind == "wait"
-                   for seq in w.matched}
+        matched = {j for w in trace.by_kind("wait") for j in w.matched}
         assert set(starts) == matched
         for fin in finishes:
             start = starts[fin["id"]]

@@ -1,6 +1,8 @@
 """Engine tests: scheduling, synchronization semantics, clocks,
 deadlock detection and functional data operations."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -263,9 +265,9 @@ class TestDataOps:
 
 class TestLightTracing:
     """``trace_accesses=False`` — the compiled-capture fast path —
-    must drop only the AccessEvent stream, never observation-free
-    structure (op records, spans, sync events) nor the simulation
-    itself (clocks, traffic, functional results)."""
+    must drop only the records' byte ranges, never observation-free
+    structure (op records, spans, events) nor the simulation itself
+    (clocks, traffic, functional results)."""
 
     def _run(self, **kw):
         from repro.collectives.common import run_collective
@@ -280,20 +282,18 @@ class TestLightTracing:
         full_eng, full = self._run()
         light_eng, light = self._run(trace_accesses=False)
 
-        assert full_eng.trace.accesses(), "full tracing lost accesses"
-        assert light_eng.trace.accesses() == []
+        full_recs = full_eng.trace.records
+        assert any(r.reads or r.writes for r in full_recs), \
+            "full tracing lost byte ranges"
+        assert not any(r.reads or r.writes
+                       for r in light_eng.trace.records)
 
-        # everything else survives, byte-for-byte
-        assert len(light_eng.trace.records) == len(full_eng.trace.records)
-        assert ([(r.rank, r.kind, r.nbytes, r.nt, r.t_start, r.t_end)
-                 for r in light_eng.trace.records] ==
-                [(r.rank, r.kind, r.nbytes, r.nt, r.t_start, r.t_end)
-                 for r in full_eng.trace.records])
-        assert len(light_eng.trace.spans) == len(full_eng.trace.spans)
-        assert ([(e.rank, e.kind, e.tag)
-                 for e in light_eng.trace.sync_events()] ==
-                [(e.rank, e.kind, e.tag)
-                 for e in full_eng.trace.sync_events()])
+        # everything else survives, byte-for-byte, matched posts included
+        assert light_eng.trace.records == [
+            replace(r, reads=(), writes=()) for r in full_recs]
+        assert any(r.matched for r in full_recs)
+        assert light_eng.trace.spans == full_eng.trace.spans
+        assert light_eng.trace.events == full_eng.trace.events
 
     def test_tracing_only_observes(self):
         _, full = self._run()

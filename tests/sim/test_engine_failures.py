@@ -92,8 +92,7 @@ class TestDeadlockDiagnostics:
 
         with pytest.raises(DeadlockError):
             eng.run(prog)
-        blocked = [e for e in eng.trace.sync_events()
-                   if e.kind == "blocked"]
+        blocked = [e for e in eng.trace.events if e.kind == "blocked"]
         assert len(blocked) == 1
         assert blocked[0].rank == 0
         assert blocked[0].tag == ("gone",)
@@ -106,8 +105,7 @@ class TestDeadlockDiagnostics:
             yield ctx.barrier()
 
         eng.run(prog)
-        assert not [e for e in eng.trace.sync_events()
-                    if e.kind == "blocked"]
+        assert not [e for e in eng.trace.events if e.kind == "blocked"]
 
 
 class TestAccessErrors:
