@@ -22,9 +22,9 @@ from one traced run or a ``repro-schedule/1`` certificate.  The IR is
 also the input format the compiled-schedule engine (ROADMAP item 1)
 replays without coroutine scheduling.
 
-Serialization is schema ``repro-ir/1``; IRs are content-addressed the
-same way :mod:`repro.bench.cache` keys benchmark cells (SHA-256 over
-the canonical-JSON descriptor, including the ``repro`` source version).
+Serialization is schema ``repro-ir/1`` (:func:`ir_to_json` /
+:func:`ir_from_json`, lossless); two IRs describe the same schedule
+exactly when their serialized documents are equal.
 """
 
 from __future__ import annotations
@@ -60,10 +60,6 @@ class Footprint:
     @property
     def end(self) -> int:
         return self.off + self.nbytes
-
-    def overlaps(self, other: "Footprint") -> bool:
-        return (self.buf == other.buf
-                and self.off < other.end and other.off < self.end)
 
 
 @dataclass(frozen=True)
@@ -383,24 +379,6 @@ class ScheduleIR:
             "pending": sum(1 for n in self.nodes if n.pending),
             "static_dav": self.static_dav(),
         }
-
-    def key(self) -> str:
-        """Content address of this IR (SHA-256, hex).
-
-        Keyed exactly like :mod:`repro.bench.cache` cells: the
-        canonical-JSON document plus the ``repro`` source version, so
-        any change to the package (which could change extraction)
-        yields a fresh key while re-extractions of one schedule shape
-        under one source tree collide — the property compiled-schedule
-        reuse (ROADMAP item 1) needs.
-        """
-        from repro.bench.cache import descriptor_key, source_version
-
-        return descriptor_key({
-            "schema": IR_SCHEMA,
-            "source": source_version(),
-            "doc": _to_payload(self),
-        })
 
 
 # ---------------------------------------------------------------------------

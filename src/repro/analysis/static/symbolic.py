@@ -991,28 +991,18 @@ def capture_region_ir(spec, machine: MachineSpec, p: int,
     with access tracing *on* (footprints are the certified content —
     the light capture :func:`repro.bench.compiled.capture_schedule`
     uses would have nothing to certify)."""
-    from repro.analysis.static.extract import ir_from_trace, machine_meta
-    from repro.library.communicator import Communicator
+    from repro.bench.compiled import capture_cell_ir
 
-    comm = Communicator(p, machine=machine, functional=False, trace=True,
-                        trace_accesses=True)
-    cell = spec.resolve()(comm, nbytes)
-    res = comm.engine.last_result
-    if res is None or res.trace is None:
-        raise RuntimeError("cell runner did not execute the engine")
-    run_trace = res.trace.slice_last_run(res.first_record, res.first_span)
-    return ir_from_trace(run_trace, buffers=comm.engine.buffers, meta={
-        "label": f"{spec.family}/{spec.kind} p={p} s={nbytes}",
-        "collective": spec.kind,
+    cell, _, ir = capture_cell_ir(spec, machine, p, nbytes,
+                                  trace_accesses=True)
+    # the selected algorithm, plus what the DAV checks read
+    ir.meta.update({
         "kind": spec.kind,
         "algorithm": cell.algorithm,
         "dav_algorithm": table_row(spec.kind, cell.algorithm),
-        "nranks": p,
-        "s": nbytes,
         "m": machine.sockets,
-        "machine": machine_meta(machine),
-        "sim_time": res.time,
     })
+    return ir
 
 
 CaptureFn = Callable[[object, MachineSpec, int, int], ScheduleIR]

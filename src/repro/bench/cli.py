@@ -11,7 +11,6 @@ Examples::
 
 from __future__ import annotations
 
-import os
 import sys
 import time
 
@@ -67,16 +66,9 @@ def add_bench_parser(sub) -> None:
         "--perturb-seed", type=int, default=2023, metavar="SEED",
         help="base seed for perturbation ensembles (default 2023)",
     )
-    bench.add_argument(
-        "--quick", action="store_true",
-        help="smoke-run size grids (same as REPRO_QUICK=1)",
-    )
 
 
 def run_bench_command(args) -> int:
-    if args.quick:
-        os.environ["REPRO_QUICK"] = "1"
-    # import after the env is settled: the size grids read REPRO_QUICK
     from repro.bench.discover import (
         benchmarks_dir,
         default_results_dir,

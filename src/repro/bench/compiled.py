@@ -164,26 +164,21 @@ def schedule_descriptor(cell: dict, *, poly: bool = False,
 # ---------------------------------------------------------------------------
 
 
-def capture_schedule(spec: RunnerSpec, machine, p: int,
-                     nbytes: int) -> CompiledSchedule:
+def capture_cell_ir(spec: RunnerSpec, machine, p: int, nbytes: int, *,
+                    trace_accesses: bool) -> tuple:
     """Run one cell through the coroutine engine with tracing on and
-    lower its measured iteration.
+    lift its measured iteration into the ``repro-ir/1`` DAG.
 
-    The traced run's clocks and traffic are identical to the untraced
-    bench cell's (tracing only observes), so the captured reference
-    times, DAV and per-rank traffic are exactly what the coroutine
-    path would report.  Light tracing (``trace_accesses=False``) skips
-    each record's byte ranges — the lowering consumes op records and
-    sync structure only — which removes most of the capture's tracing
-    overhead.
+    ``trace_accesses`` records each op's byte ranges (certification
+    consumes them, lowering does not).  Returns ``(cell, res, ir)``:
+    the cell result, the engine's run result, and the IR, whose meta
+    names the cell, its geometry and machine, and the simulated time.
     """
     from repro.analysis.static.extract import ir_from_trace, machine_meta
-    from repro.bench.runners import resolve_imax
     from repro.library.communicator import Communicator
-    from repro.models.nt_model import decision_guards
 
     comm = Communicator(p, machine=machine, functional=False, trace=True,
-                        trace_accesses=False)
+                        trace_accesses=trace_accesses)
     cell = spec.resolve()(comm, nbytes)
     res = comm.engine.last_result
     if res is None or res.trace is None:
@@ -197,6 +192,27 @@ def capture_schedule(spec: RunnerSpec, machine, p: int,
         "machine": machine_meta(machine),
         "sim_time": res.time,
     })
+    return cell, res, ir
+
+
+def capture_schedule(spec: RunnerSpec, machine, p: int,
+                     nbytes: int) -> CompiledSchedule:
+    """Run one cell through the coroutine engine with tracing on and
+    lower its measured iteration.
+
+    The traced run's clocks and traffic are identical to the untraced
+    bench cell's (tracing only observes), so the captured reference
+    times, DAV and per-rank traffic are exactly what the coroutine
+    path would report.  Light tracing (``trace_accesses=False``) skips
+    each record's byte ranges — the lowering consumes op records and
+    sync structure only — which removes most of the capture's tracing
+    overhead.
+    """
+    from repro.bench.runners import resolve_imax
+    from repro.models.nt_model import decision_guards
+
+    cell, res, ir = capture_cell_ir(spec, machine, p, nbytes,
+                                    trace_accesses=False)
     cs = lower(ir)
     cs.meta["algorithm"] = cell.algorithm
     cs.meta["dav"] = int(res.traffic.dav) if res.traffic is not None else 0

@@ -116,10 +116,9 @@ def run_hierarchy(cfg: HierConfig, machine_name: str, p: int, nbytes: int,
     Returns the JSON-safe cell dict (``time`` / ``dav`` / ``algorithm``
     / ``counters``) with the ``repro-hier/1`` document as counters.
     """
-    net = Network(NETWORKS[cfg.network])
     stages = allreduce_stages(
         SimpleNamespace(**leaf_ops),
-        net=net,
+        net=Network(NETWORKS[cfg.network]),
         nnodes=cfg.nnodes,
         nranks_per_node=p,
         mode=cfg.mode,
@@ -130,7 +129,6 @@ def run_hierarchy(cfg: HierConfig, machine_name: str, p: int, nbytes: int,
     hierarchy = Hierarchy(
         stages,
         name=f"{cfg.implementation}-{cfg.mode}",
-        network=net,
         nnodes=cfg.nnodes,
         nranks=cfg.nnodes * p,
     )

@@ -8,16 +8,15 @@ multi-lane variants) exchanging across nodes — the explicit hierarchy
 the hybrid MPI+MPI literature argues for (Zhou et al.,
 arXiv:2007.06892; MPI Advance, arXiv:2309.07337):
 
-* every level is a :class:`Stage` object reporting time, DAV-style byte
-  counts and traffic counters for *its* level,
+* every level is a :class:`Stage` whose ``evaluate`` is pure: it
+  prices *its* level (time, DAV-style byte counts, inter-node traffic)
+  as a :class:`StageResult` and records nothing — a
+  :class:`BestOfStage` prices every candidate and returns only the
+  winner's result,
 * the :class:`Hierarchy` composes levels, optionally as a segmented
-  pipeline, and rolls counters up into a ``repro-hier/1`` document in
-  which per-level traffic sums exactly to the committed network totals.
-
-Cost queries are side-effect-free: stages are **evaluated** first (no
-counter mutation — a :class:`BestOfStage` prices every candidate), and
-only the stages that actually run are **committed** to the
-:class:`~repro.machine.network.Network` counters.
+  pipeline, into a :class:`HierarchyResult` — the one traffic ledger:
+  its ``repro-hier/1`` document's network totals are the sums of the
+  per-level results it keeps.
 
 The segmented pipeline (Section 5.5 of the paper) overlaps chunk k's
 inter-node exchange with chunk k+1's intra-node phase.  Chunking is
@@ -74,7 +73,7 @@ class StageResult:
     ``time`` is the level's total across all pipeline chunks;
     ``chunk_time`` the steady-state per-chunk time the pipeline
     composition uses.  ``bytes_on_wire`` / ``messages`` are the
-    inter-node traffic this level commits (zero for leaf stages);
+    inter-node traffic this level carries (zero for leaf stages);
     ``dav`` / ``memory_traffic`` the node-local byte counts a leaf
     reports (zero for network stages).
     """
@@ -145,8 +144,8 @@ class HierarchyResult:
     def to_doc(self) -> dict:
         """``repro-hier/1``: per-level breakdown plus totals.
 
-        ``network.bytes_sent`` / ``network.messages`` equal the sums of
-        the per-level counters by construction — consumers can (and the
+        ``network.bytes_sent`` / ``network.messages`` are the sums of
+        the per-level traffic by construction — consumers can (and the
         tests do) verify the roll-up.
         """
         doc = {
@@ -182,9 +181,9 @@ class HierarchyResult:
 class Stage:
     """One level of a hierarchical collective.
 
-    ``evaluate`` must be free of side effects on shared counters so the
-    hierarchy (or a :class:`BestOfStage`) can price alternatives;
-    ``commit`` posts the chosen result's traffic.
+    ``evaluate`` is pure — it prices the level and records nothing —
+    so the hierarchy (or a :class:`BestOfStage`) can price
+    alternatives and keep only the result that runs.
     """
 
     name: str = "stage"
@@ -192,9 +191,6 @@ class Stage:
 
     def evaluate(self, nbytes: int, chunks: int = 1) -> StageResult:
         raise NotImplementedError
-
-    def commit(self, result: StageResult) -> None:  # noqa: B027 (leafs no-op)
-        """Post ``result``'s traffic to the stage's counters."""
 
 
 class LeafStage(Stage):
@@ -308,14 +304,6 @@ class NetworkStage(Stage):
             steps=total.steps,
         )
 
-    def commit(self, result: StageResult) -> None:
-        self.net.commit(NetworkCost(
-            time=result.time,
-            bytes_on_wire=result.bytes_on_wire,
-            messages=result.messages,
-            steps=result.steps,
-        ))
-
 
 class RingStage(NetworkStage):
     """Ring allreduce across nodes; ``lanes`` concurrent senders per
@@ -358,9 +346,9 @@ class RabenseifnerStage(NetworkStage):
 
 
 class BestOfStage(Stage):
-    """Price every candidate exchange, run (and commit) only the
-    fastest — the estimate/commit split that fixes the historical
-    double-count of the road not taken."""
+    """Price every candidate exchange and return only the fastest
+    one's result (the first on a tie), so the road not taken never
+    reaches the traffic totals."""
 
     level = "inter"
 
@@ -370,19 +358,10 @@ class BestOfStage(Stage):
             raise ValueError("need at least one candidate stage")
         self.children = tuple(children)
         self.name = name
-        self._chosen: Dict[int, Stage] = {}
 
     def evaluate(self, nbytes: int, chunks: int = 1) -> StageResult:
-        results = [c.evaluate(nbytes, chunks) for c in self.children]
-        best = min(range(len(results)), key=lambda i: results[i].time)
-        self._chosen[id(results[best])] = self.children[best]
-        return results[best]
-
-    def commit(self, result: StageResult) -> None:
-        chosen = self._chosen.pop(id(result), None)
-        if chosen is None:  # committed standalone: match by name
-            chosen = next(c for c in self.children if c.name == result.name)
-        chosen.commit(result)
+        return min((c.evaluate(nbytes, chunks) for c in self.children),
+                   key=lambda r: r.time)
 
 
 class SizeSwitchStage(Stage):
@@ -404,9 +383,6 @@ class SizeSwitchStage(Stage):
     def evaluate(self, nbytes: int, chunks: int = 1) -> StageResult:
         return self._pick(nbytes).evaluate(nbytes, chunks)
 
-    def commit(self, result: StageResult) -> None:
-        self._pick(result.nbytes).commit(result)
-
 
 # ---------------------------------------------------------------------------
 # Hierarchy composition
@@ -416,21 +392,21 @@ class SizeSwitchStage(Stage):
 class Hierarchy:
     """A stack of stages executed as one collective.
 
-    ``run`` resets the network counters, evaluates every level
-    (side-effect-free), commits each level's traffic, and composes the
-    times: serially for ``chunks=1``, as a ``chunks``-deep software
-    pipeline otherwise (``T = sum(chunk times) + (chunks-1) * max(chunk
-    time)`` — fill plus steady state on the bottleneck stage).
+    ``run`` evaluates every level and composes the times: serially for
+    ``chunks=1``, as a ``chunks``-deep software pipeline otherwise
+    (``T = sum(chunk times) + (chunks-1) * max(chunk time)`` — fill
+    plus steady state on the bottleneck stage).  It keeps no state
+    between runs: the returned :class:`HierarchyResult` is the run's
+    whole record, traffic included.
     """
 
     def __init__(self, stages: Sequence[Stage], *, name: str = "hierarchy",
-                 network: Optional[Network] = None, nnodes: int = 1,
-                 nranks: int = 0, topology: Optional[Topology] = None):
+                 nnodes: int = 1, nranks: int = 0,
+                 topology: Optional[Topology] = None):
         if not stages:
             raise ValueError("a hierarchy needs at least one stage")
         self.stages = tuple(stages)
         self.name = name
-        self.network = network
         self.topology = topology
         if topology is not None:
             nnodes = topology.nnodes
@@ -458,11 +434,7 @@ class Hierarchy:
             if any(s < 0 for s in skews):
                 raise ValueError("skews must be non-negative")
             skew = float(max(skews))
-        if self.network is not None:
-            self.network.reset()
         results = [s.evaluate(nbytes, chunks) for s in self.stages]
-        for stage, res in zip(self.stages, results):
-            stage.commit(res)
         if chunks == 1:
             # group by level so the two-level total matches the legacy
             # intra + inter float-summation order bitwise
@@ -646,12 +618,11 @@ def allreduce_hierarchy(lib: object, nnodes: int, *,
     not."""
     policy = implementation_policy(implementation)
     p = lib.comm.nranks
-    net = Network()
-    stages = allreduce_stages(lib, net=net, nnodes=nnodes,
+    stages = allreduce_stages(lib, net=Network(), nnodes=nnodes,
                               nranks_per_node=p, mode=policy.mode,
                               adaptive=policy.adaptive)
-    return Hierarchy(stages, name=implementation, network=net,
-                     nnodes=nnodes, nranks=nnodes * p)
+    return Hierarchy(stages, name=implementation, nnodes=nnodes,
+                     nranks=nnodes * p)
 
 
 def hierarchy_for_topology(topology: Topology, *,
@@ -678,12 +649,11 @@ def hierarchy_for_topology(topology: Topology, *,
                          functional=False)))
         for g in topology.groups
     ]
-    net = Network(topology.network)
     stages = _two_level(
-        groups, net=net, nnodes=topology.nnodes, mode=mode, lanes=lanes,
-        exchange=exchange,
+        groups, net=Network(topology.network), nnodes=topology.nnodes,
+        mode=mode, lanes=lanes, exchange=exchange,
         adaptive=policy.adaptive if adaptive is None else adaptive)
-    return Hierarchy(stages, name=f"{implementation}-{mode}", network=net,
+    return Hierarchy(stages, name=f"{implementation}-{mode}",
                      topology=topology)
 
 

@@ -11,14 +11,13 @@ processes see ``min(k * lane_bandwidth, rails * link_bandwidth)``.
 HPE Slingshot / dual-HCA InfiniBand configuration): each rail adds a
 full link of bandwidth, reachable only with enough concurrent senders.
 
-Cost queries are **side-effect-free**: every ``*_cost`` method returns
-a :class:`NetworkCost` estimate and touches no counters, so callers can
-price several candidate exchange strategies (the vendor tree-vs-ring
-switch) and then :meth:`Network.commit` only the one that actually
-runs; a cost's ``time`` is the pure time estimate.  ``bytes_sent`` /
-``messages`` therefore reflect exactly the committed traffic;
-:meth:`Network.reset` gives per-call accounting (every
-:meth:`repro.library.hierarchy.Hierarchy.run` starts with one).
+A :class:`Network` holds no state beyond its spec: every ``*_cost``
+method is a pure function returning a :class:`NetworkCost` (time,
+bytes on the wire, messages, latency steps), so callers can price
+several candidate exchange strategies (the vendor tree-vs-ring switch)
+and keep only the one that runs.  Traffic totals are sums over the
+results a run keeps (:class:`repro.library.hierarchy.HierarchyResult`),
+not counters held here.
 
 :class:`Topology` describes a whole cluster — groups of identical
 nodes (machine preset, node count, ranks per node) sharing one NIC
@@ -92,9 +91,9 @@ NETWORKS: "dict[str, NetworkSpec]" = {
 class NetworkCost:
     """Side-effect-free estimate of one inter-node exchange.
 
-    ``bytes_on_wire`` / ``messages`` are per-node (what one NIC carries
-    — the convention the counters have always used); ``steps`` is the
-    synchronous step count of the exchange (latency terms).
+    ``bytes_on_wire`` / ``messages`` are per-node (what one NIC
+    carries); ``steps`` is the synchronous step count of the exchange
+    (latency terms).
     """
 
     time: float
@@ -120,28 +119,11 @@ ZERO_COST = NetworkCost(time=0.0, bytes_on_wire=0, messages=0, steps=0)
 
 
 class Network:
-    """Cost model for point-to-point and collective exchanges between
-    nodes, with explicit estimate/commit traffic accounting."""
+    """Pure cost model for point-to-point and collective exchanges
+    between nodes."""
 
     def __init__(self, spec: NetworkSpec = INFINIBAND_EDR):
         self.spec = spec
-        self.bytes_sent = 0
-        self.messages = 0
-
-    # ---- accounting -------------------------------------------------------
-
-    def reset(self) -> None:
-        """Zero the traffic counters (per-call accounting)."""
-        self.bytes_sent = 0
-        self.messages = 0
-
-    def commit(self, cost: NetworkCost) -> None:
-        """Record a chosen exchange's traffic.  Only committed costs
-        reach the counters — pricing the road not taken is free."""
-        self.bytes_sent += cost.bytes_on_wire
-        self.messages += cost.messages
-
-    # ---- cost queries (side-effect-free) ----------------------------------
 
     def effective_bandwidth(self, concurrent_procs: int) -> float:
         """Aggregate node bandwidth seen by ``concurrent_procs`` senders."""

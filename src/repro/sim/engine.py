@@ -49,30 +49,6 @@ from repro.sim.buffers import (
 from repro.sim.scheduler import FifoScheduler, SchedulerPolicy
 from repro.sim.trace import OpRecord, SpanRecord, SyncEvent, Trace
 
-REDUCE_OPS = {
-    "sum": np.add,
-    "prod": np.multiply,
-    "max": np.maximum,
-    "min": np.minimum,
-}
-
-_UFUNC_CACHE: dict = dict(REDUCE_OPS)
-
-
-def resolve_ufunc(op: str):
-    """Name -> elementwise combiner.  Falls back to the operator
-    registry in :mod:`repro.collectives.ops` for user-registered ops
-    (imported lazily: the collectives package imports this module)."""
-    try:
-        return _UFUNC_CACHE[op]
-    except KeyError:
-        from repro.collectives.ops import get_op
-
-        ufunc = get_op(op).ufunc
-        _UFUNC_CACHE[op] = ufunc
-        return ufunc
-
-
 @dataclass(frozen=True)
 class BlockedInfo:
     """One rank parked on an unsatisfiable sync — a deadlock certificate.
@@ -300,9 +276,12 @@ class RankCtx:
                 raise ValueError("reduce operand size mismatch")
         t0 = self.clock
         if eng.functional and not (dst.is_virtual or any(s.is_virtual for s in srcs)):
-            ufunc = resolve_ufunc(op)
+            # looked up per reduce, so a re-registered operator takes
+            # effect at once (lazy: the collectives package imports us)
+            from repro.collectives.ops import get_op
+
             a, b = srcs
-            ufunc(a.array(), b.array(), out=dst.array())
+            get_op(op).ufunc(a.array(), b.array(), out=dst.array())
         if eng.memsys is not None:
             dt = 0.0
             for s in srcs:

@@ -57,6 +57,16 @@ class TestOpRegistry:
         out = get_op("sub")(np.array([5.0]), np.array([2.0]))
         assert out[0] == 3.0
 
+    def test_replaced_op_reaches_the_engine(self):
+        """The engine reduces with the registry's current operator, so
+        a ``replace=True`` re-registration takes effect on the next
+        run (the oracle already reads the registry)."""
+        register_op("test-rereg", np.add, commutative=False, replace=True)
+        run_collective(ORDERED_ALLREDUCE, Engine(3), 64, op="test-rereg")
+        register_op("test-rereg", np.maximum, commutative=False,
+                    replace=True)
+        run_collective(ORDERED_ALLREDUCE, Engine(3), 64, op="test-rereg")
+
 
 class TestOrderedCorrectness:
     """run_collective's oracle is a rank-order left fold — for

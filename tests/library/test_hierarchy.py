@@ -1,6 +1,6 @@
-"""Composable hierarchy framework tests: stage composition, the
-estimate/commit counter discipline, pipeline accounting, the shared
-policies, and topology assembly."""
+"""Composable hierarchy framework tests: stage composition, pure stage
+evaluation with the result as the one traffic ledger, pipeline
+accounting, the shared policies, and topology assembly."""
 
 from types import SimpleNamespace
 
@@ -12,6 +12,7 @@ from repro.library.hierarchy import (
     GroupedLeafStage,
     Hierarchy,
     LeafStage,
+    NetworkStage,
     RabenseifnerStage,
     RingStage,
     SizeSwitchStage,
@@ -26,7 +27,7 @@ from repro.library.hierarchy import (
 )
 from repro.library.mpi import MPILibrary
 from repro.library.yhccl import YHCCL
-from repro.machine.network import Network, NodeGroup, Topology
+from repro.machine.network import Network, NetworkCost, NodeGroup, Topology
 
 from tests.conftest import TINY
 
@@ -43,6 +44,17 @@ class FakeLeafResult:
 
 def const_leaf(name, time, dav=0):
     return LeafStage(name, lambda n: FakeLeafResult(time, dav))
+
+
+class FixedCostStage(NetworkStage):
+    """An exchange priced at one fixed cost, whatever the size."""
+
+    def __init__(self, name, cost):
+        super().__init__(name, Network(), 2)
+        self._cost = cost
+
+    def cost(self, nbytes):
+        return self._cost
 
 
 class TestCeilDiv:
@@ -94,14 +106,15 @@ class TestGroupedLeafStage:
 
 class TestNetworkStages:
     def test_ring_commit_matches_cost(self):
+        """The result is the ledger: it carries exactly the traffic of
+        the exchange's cost."""
         net = Network()
-        stage = RingStage(net, 8, lanes=8)
-        res = stage.evaluate(1 * MB)
-        assert net.bytes_sent == 0  # evaluation is pure
-        stage.commit(res)
+        res = RingStage(net, 8, lanes=8).evaluate(1 * MB)
         cost = net.ring_allreduce_cost(1 * MB, 8, concurrent_procs=8)
-        assert net.bytes_sent == cost.bytes_on_wire
-        assert net.messages == cost.messages
+        assert res.time == cost.time
+        assert res.bytes_on_wire == cost.bytes_on_wire
+        assert res.messages == cost.messages
+        assert res.steps == cost.steps
 
     def test_chunked_evaluation_scales_latency_and_messages(self):
         net = Network()
@@ -116,21 +129,28 @@ class TestNetworkStages:
         assert chunked.time > whole.time
 
     def test_best_of_commits_only_the_winner(self):
+        """Only the winner's result comes back, so the road not taken
+        never reaches the traffic totals."""
         net = Network()
         tree = TreeAllreduceStage(net, 16)
         ring = RingStage(net, 16, lanes=1)
         best = BestOfStage((tree, ring))
         small = best.evaluate(16 * KB)
         assert small.algorithm == "tree"
-        best.commit(small)
-        assert net.bytes_sent == net.tree_allreduce_cost(
+        assert small.bytes_on_wire == net.tree_allreduce_cost(
             16 * KB, 16).bytes_on_wire
-        net.reset()
         large = best.evaluate(64 * MB)
         assert large.algorithm == "ring"
-        best.commit(large)
-        assert net.bytes_sent == net.ring_allreduce_cost(
+        assert large.bytes_on_wire == net.ring_allreduce_cost(
             64 * MB, 16).bytes_on_wire
+
+    def test_best_of_tie_keeps_first_child(self):
+        cost = NetworkCost(time=1.0, bytes_on_wire=8, messages=1, steps=1)
+        best = BestOfStage((FixedCostStage("a", cost),
+                            FixedCostStage("b", cost)))
+        assert best.evaluate(64).name == "a"
+        # pricing keeps no per-result state on the stage
+        assert set(vars(best)) == {"children", "name"}
 
     def test_size_switch_threshold_boundary(self):
         net = Network()
@@ -149,51 +169,50 @@ class TestNetworkStages:
 
 
 class TestHierarchyComposition:
-    def mk(self, inter_time_stage=None, nnodes=8):
-        net = Network()
+    def mk(self, nnodes=8):
         stages = [
             const_leaf("rs", 3.0, dav=30),
-            inter_time_stage or RingStage(net, nnodes, lanes=8),
+            RingStage(Network(), nnodes, lanes=8),
             const_leaf("ag", 1.0, dav=10),
         ]
-        return Hierarchy(stages, network=net, nnodes=nnodes, nranks=64), net
+        return Hierarchy(stages, nnodes=nnodes, nranks=64)
 
     def test_serial_total_is_intra_plus_inter(self):
-        h, net = self.mk()
+        h = self.mk()
         res = h.run(4 * MB)
         assert res.time == res.intra_time + res.inter_time
         assert res.intra_time == 4.0
         assert res.dav == 40
 
     def test_pipeline_formula(self):
-        h, net = self.mk()
+        h = self.mk()
         res = h.run(4 * MB, chunks=4)
         cts = [s.chunk_time for s in res.stages]
         assert res.time == pytest.approx(sum(cts) + 3 * max(cts))
         assert res.pipelined
 
     def test_counters_reset_per_run_and_roll_up(self):
-        h, net = self.mk()
+        h = self.mk()
         first = h.run(4 * MB)
         second = h.run(4 * MB)
-        assert net.bytes_sent == second.network_bytes  # no accumulation
+        assert second.to_doc() == first.to_doc()  # no accumulation
         doc = second.to_doc()
         assert doc["schema"] == "repro-hier/1"
         assert doc["network"]["bytes_sent"] == sum(
             lv["bytes_on_wire"] for lv in doc["levels"])
         assert doc["network"]["messages"] == sum(
             lv["messages"] for lv in doc["levels"])
-        assert first.network_bytes == second.network_bytes
 
     def test_pipelined_commits_chunked_traffic(self):
-        h, net = self.mk()
+        h = self.mk()
         serial = h.run(4 * MB)
         piped = h.run(4 * MB, chunks=4)
-        assert net.messages == piped.network_messages
+        inter = next(s for s in piped.stages if s.level == "inter")
+        assert piped.network_messages == inter.messages
         assert piped.network_messages == 4 * serial.network_messages
 
     def test_validation(self):
-        h, _ = self.mk()
+        h = self.mk()
         with pytest.raises(ValueError):
             h.run(-1)
         with pytest.raises(ValueError):

@@ -107,26 +107,24 @@ class TestPipelinedOverlap:
 
 class TestVendorProbeAccounting:
     """Bugfix: the hcoll tree-vs-ring probe priced both strategies but
-    must record only the chosen one (estimate/commit split)."""
+    must record only the chosen one: the probe returns only the
+    winner's result, and the totals are sums over results."""
 
     def test_counters_reflect_only_the_chosen_path(self):
-        hier = mk("OMPI-hcoll", 16)
-        res = allreduce(hier, 16 * KB)  # tree wins at this size
+        res = allreduce(mk("OMPI-hcoll", 16), 16 * KB)  # tree wins here
         inter = [s for s in res.stages if s.level == "inter"]
         assert inter[0].algorithm == "tree"
-        tree = hier.network.tree_allreduce_cost(16 * KB, 16)
-        ring = hier.network.ring_allreduce_cost(16 * KB, 16)
-        assert hier.network.bytes_sent == tree.bytes_on_wire
-        assert hier.network.bytes_sent != (tree.bytes_on_wire
-                                           + ring.bytes_on_wire)
-        assert hier.network.messages == tree.messages
+        tree = Network().tree_allreduce_cost(16 * KB, 16)
+        ring = Network().ring_allreduce_cost(16 * KB, 16)
+        assert res.network_bytes == tree.bytes_on_wire
+        assert res.network_bytes != (tree.bytes_on_wire
+                                     + ring.bytes_on_wire)
+        assert res.network_messages == tree.messages
 
     def test_counters_reset_per_call(self):
         hier = mk("OMPI-hcoll", 16)
-        allreduce(hier, 16 * KB)
-        first = (hier.network.bytes_sent, hier.network.messages)
-        allreduce(hier, 16 * KB)
-        assert (hier.network.bytes_sent, hier.network.messages) == first
+        first = allreduce(hier, 16 * KB)
+        assert allreduce(hier, 16 * KB).to_doc() == first.to_doc()
 
 
 class TestCeilPartition:
@@ -152,29 +150,30 @@ class TestCeilPartition:
 
 class TestPipelinedAccounting:
     """Bugfix: a C-chunk pipeline pays inter-node latency and message
-    counts per chunk, and the document totals match the live network
-    counters."""
+    counts per chunk, and the document totals are the sums of the
+    per-level traffic."""
 
     def test_messages_scale_with_chunks(self):
-        hier = mk("YHCCL", 8)
-        res = allreduce(hier, 8 * MB)
+        res = allreduce(mk("YHCCL", 8), 8 * MB)
         assert res.pipelined
         c = PIPELINE_CHUNKS
-        per = hier.network.ring_allreduce_cost(
+        per = Network().ring_allreduce_cost(
             -(-8 * MB // c), 8, concurrent_procs=8)
         inter = next(s for s in res.stages if s.level == "inter")
         assert inter.messages == c * per.messages
         assert inter.steps == c * per.steps
         assert inter.time == per.time * c
+        assert res.network_messages == c * per.messages
 
     def test_document_totals_match_live_counters(self):
-        hier = mk("YHCCL", 8)
-        res = allreduce(hier, 8 * MB)
-        assert hier.network.bytes_sent == res.network_bytes
-        assert hier.network.messages == res.network_messages
+        res = allreduce(mk("YHCCL", 8), 8 * MB)
         doc = res.to_doc()
+        assert doc["network"] == {"bytes_sent": res.network_bytes,
+                                  "messages": res.network_messages}
         assert doc["network"]["bytes_sent"] == sum(
             lv["bytes_on_wire"] for lv in doc["levels"])
+        assert doc["network"]["messages"] == sum(
+            lv["messages"] for lv in doc["levels"])
 
 
 class TestLegacyEquivalence:
